@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import ExtendedLevel, Branch, ResourceLimitError
 from .filtration import diagram, summarize
-from .flows import flow_level_matrix
+from .flows import IntegrationError, flow_level_matrix
 from .links import level_matrix, horizon_stability
 from .export import (build_document, export_diagram_json, export_levels_csv,
                      render_svg)
@@ -76,7 +76,7 @@ def cmd_analyze(args) -> int:
         _diag(f"{loaded.name}: n={loaded.system.n} h={meta.get('h')} "
               f"n_max={loaded.system.horizon} tau={loaded.tau:.9g}")
         if loaded.system.n <= 2048:
-            rep = horizon_stability(loaded.system, threads=args.threads)
+            rep = horizon_stability(loaded.system, threads=args.threads, full=matrix)
             state = "stable" if rep.stable else f"{rep.changed_pairs} pairs changed (max {rep.max_change:.3g})"
             _diag(f"horizon check at n_max={rep.reduced_horizon}: {state}")
     else:
@@ -128,8 +128,7 @@ def cmd_detect(args) -> int:
     matrix, _ = _matrix_and_summary(loaded, args.threads)
     h = loaded.system.spacing
     min_gap = args.min_gap if args.min_gap is not None else (4.0 * h if h else 1e-9)
-    certs = find_wandering_certificates(matrix, min_gap, system=loaded.system,
-                                        limit=args.limit)
+    certs = find_wandering_certificates(matrix, min_gap, limit=args.limit)
     coords = _coords(loaded)
     lines = ["x,z,eps,gap"]
     for c in certs:
@@ -225,9 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise SpecError("--threads must be at least 1")
         return args.fn(args)
     except SpecError as e:
         _diag(f"spec error: {e}")
+        return EXIT_SPEC
+    except IntegrationError as e:
+        _diag(f"integration error: {e}")
         return EXIT_SPEC
     except ResourceLimitError as e:
         _diag(f"resource limit: {e}")

@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 DEFAULT_MAX_SAMPLES = 200_000
+COST_ROW_CHUNK = 64
 
 
 class ResourceLimitError(RuntimeError):
@@ -129,7 +130,9 @@ class CostSpace:
                 c = c[:, None]
             object.__setattr__(self, "coords", np.ascontiguousarray(c))
         if self.matrix is not None:
-            m = np.asarray(self.matrix, dtype=float)
+            # + 0.0 turns -0.0 into 0.0: min/max ties between signed zeros resolve
+            # by operand order, which the pruned product does not keep
+            m = np.asarray(self.matrix, dtype=float) + 0.0
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError("cost matrix must be square")
             if np.any(np.isnan(m)) or np.any(m < 0):
@@ -187,8 +190,11 @@ def points_to_samples_cost(points: np.ndarray, space: CostSpace) -> np.ndarray:
         pts = pts[:, None]
     if space.coords.shape[1] == 1:
         return np.abs(pts[:, 0][:, None] - space.coords[:, 0][None, :])
-    diff = pts[:, None, :] - space.coords[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    out = np.empty((len(pts), space.n))
+    for i in range(0, len(pts), COST_ROW_CHUNK):   # bounds the (rows, n, d) temporaries
+        diff = pts[i:i + COST_ROW_CHUNK, None, :] - space.coords[None, :, :]
+        out[i:i + COST_ROW_CHUNK] = np.sqrt(np.sum(diff * diff, axis=2))
+    return out
 
 
 @dataclass(frozen=True)

@@ -18,15 +18,13 @@ exactly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import (CostSpace, DEFAULT_MAX_SAMPLES, ResourceLimitError,
-                   grid_points, points_to_samples_cost)
-from .links import MATRIX_SIZE_CAP, LevelMatrix
+from .core import CostSpace, DEFAULT_MAX_SAMPLES, grid_points, points_to_samples_cost
+from .links import LevelMatrix, bottleneck_product, nearest_exit_costs, target_indices
 
 
 class IntegrationError(RuntimeError):
@@ -47,17 +45,18 @@ def integrate(field_fn: Callable[[np.ndarray], np.ndarray], z0,
     y = np.array(z0, dtype=float)
     out = np.empty((steps + 1,) + y.shape)
     out[0] = y
-    for i in range(steps):
-        k1 = field_fn(y)
-        k2 = field_fn(y + 0.5 * dt * k1)
-        k3 = field_fn(y + 0.5 * dt * k2)
-        k4 = field_fn(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            bad = np.argwhere(~np.isfinite(np.atleast_1d(y)))
-            raise IntegrationError(
-                f"non-finite state at t={(i + 1) * dt:.6g}, component {bad[0].tolist()}")
-        out[i + 1] = y
+    with np.errstate(over="ignore", invalid="ignore"):   # non-finite states raise below
+        for i in range(steps):
+            k1 = field_fn(y)
+            k2 = field_fn(y + 0.5 * dt * k1)
+            k3 = field_fn(y + 0.5 * dt * k2)
+            k4 = field_fn(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(y)):
+                bad = np.argwhere(~np.isfinite(np.atleast_1d(y)))
+                raise IntegrationError(
+                    f"non-finite state at t={(i + 1) * dt:.6g}, component {bad[0].tolist()}")
+            out[i + 1] = y
     return out
 
 
@@ -142,24 +141,7 @@ def _duration_window(system: SemiflowSystem, T: float | None) -> tuple[int, floa
 
 def flow_exit_min(system: SemiflowSystem, cols: np.ndarray, i_min: int) -> np.ndarray:
     """M[z, j] = min over grid durations r >= i_min * dt of cost(flow_r(z), cols[j])."""
-    coords = system.space.coords
-    targets = coords[cols]
-    window = system.traj[:, i_min:, :]
-    n = system.n
-    out = np.empty((n, len(cols)))
-    one_d = coords.shape[1] == 1
-    for z in range(n):
-        if one_d:
-            s = np.sort(window[z, :, 0])
-            t = targets[:, 0]
-            pos = np.searchsorted(s, t)
-            left = np.abs(t - s[np.clip(pos - 1, 0, len(s) - 1)])
-            right = np.abs(s[np.clip(pos, 0, len(s) - 1)] - t)
-            out[z] = np.minimum(left, right)
-        else:
-            diff = window[z][:, None, :] - targets[None, :, :]
-            out[z] = np.sqrt(np.sum(diff * diff, axis=2)).min(axis=0)
-    return out
+    return nearest_exit_costs(system.traj[:, i_min:, :], system.space.coords[cols])
 
 
 def flow_level_matrix(system: SemiflowSystem, T: float | None = None,
@@ -168,36 +150,11 @@ def flow_level_matrix(system: SemiflowSystem, T: float | None = None,
     """Pairwise flow link levels at duration floor T (default: the configured t_min)."""
     i_min, t = _duration_window(system, T)
     n = system.n
-    if targets is None:
-        tg = np.arange(n)
-    else:
-        tg = np.unique(np.asarray(list(targets), dtype=np.int64))
-        if len(tg) == 0:
-            raise ValueError("empty target set")
-    if len(tg) > MATRIX_SIZE_CAP:
-        raise ResourceLimitError(
-            f"{len(tg)} targets exceed the level-matrix cap ({MATRIX_SIZE_CAP})")
+    tg = target_indices(n, targets)
     D = points_to_samples_cost(system.space.coords[tg], system.space)
     M = flow_exit_min(system, tg, i_min)
-    m = len(tg)
-    levels = np.empty((m, m))
-
-    def fill(rows: slice) -> None:
-        block = levels[rows]
-        block.fill(np.inf)
-        Db = D[rows]
-        for z in range(n):
-            np.minimum(block, np.maximum(Db[:, z][:, None], M[z][None, :]), out=block)
-
-    if threads <= 1 or m < 8:
-        fill(slice(0, m))
-    else:
-        step = max(1, (m + threads - 1) // threads)
-        chunks = [slice(i, min(i + step, m)) for i in range(0, m, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: fill(s), chunks))
-    return LevelMatrix(levels=levels, targets=tg, horizon=system.steps,
-                       spacing=system.spacing, kind="flow",
+    return LevelMatrix(levels=bottleneck_product(D, M, threads), targets=tg,
+                       horizon=system.steps, spacing=system.spacing, kind="flow",
                        meta={"name": system.name, "n": n, "dt": system.dt,
                              "t_min": t, "t_max": system.t_max})
 

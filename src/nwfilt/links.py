@@ -27,6 +27,8 @@ import numpy as np
 from .core import MapSystem, ResourceLimitError, points_to_samples_cost
 
 MATRIX_SIZE_CAP = 6000
+TILE_ROWS = 64       # rows per product tile; the unit of work split across threads
+CUTOFF_EVERY = 16    # entry samples between refreshes of a tile's running maximum
 
 
 @dataclass(frozen=True)
@@ -83,54 +85,38 @@ def entry_cost_rows(system: MapSystem, rows: np.ndarray) -> np.ndarray:
     return points_to_samples_cost(system.space.coords[rows], system.space)
 
 
-def _exit_candidates(system: MapSystem) -> np.ndarray:
-    """Raw orbit values per sample: (n, horizon) indices or (n, horizon[, d]) coords."""
+def _exit_points(system: MapSystem) -> np.ndarray:
+    """Raw orbit coordinates per sample, shape (n, horizon, d)."""
     if system.is_tabulated:
-        return system.orbit_table
-    orb = system.orbit_coords
-    if orb.shape[2] == 1:
-        return orb[:, :, 0]
-    return orb
+        return system.space.coords[system.orbit_table]
+    return system.orbit_coords
 
 
-def exit_min_matrix(system: MapSystem, cols: np.ndarray, method: str = "auto") -> np.ndarray:
-    """M[z, j] = min over n of cost(f^n(z), cols[j]) for every sample z.
+def nearest_exit_costs(cand: np.ndarray, targets: np.ndarray, method: str = "auto") -> np.ndarray:
+    """out[z, j] = min over k of the Euclidean distance from cand[z, k] to targets[j].
 
-    ``method`` selects the nearest-iterate kernel: "scan" evaluates every
-    orbit entry directly, "indexed" keeps a sorted projection per orbit
-    (1-D coordinate systems only).  Both produce identical floats, because
-    they minimize over the same candidate values.
+    ``cand`` holds raw exit points, (n, K, d); ``targets`` is (m, d).
+    "indexed" keeps a sorted projection per row (1-D only), "scan" evaluates
+    every candidate; both minimize over the same floats.
     """
-    n = system.n
-    if system.is_tabulated and system.space.matrix is not None:
-        P = system.space.matrix
-        out = np.empty((n, len(cols)))
-        for z in range(n):
-            out[z] = P[system.orbit_table[z]][:, cols].min(axis=0)
-        return out
-    coords = system.space.coords
-    targets = coords[cols]
-    cand = _exit_candidates(system)
-    if system.is_tabulated:
-        cand = coords[cand]  # (n, horizon, d)
-        if coords.shape[1] == 1:
-            cand = cand[:, :, 0]
-    one_d = cand.ndim == 2
+    one_d = cand.shape[2] == 1
+    if one_d:
+        cand = cand[:, :, 0]
     if method == "auto":
         method = "indexed" if one_d else "scan"
     if method == "indexed" and not one_d:
         raise ValueError("indexed nearest-iterate queries need 1-D coordinates")
-    out = np.empty((n, len(cols)))
+    out = np.empty((cand.shape[0], len(targets)))
     if method == "indexed":
         t = targets[:, 0]
-        for z in range(n):
+        for z in range(cand.shape[0]):
             s = np.sort(cand[z])
             pos = np.searchsorted(s, t)
             left = np.abs(t - s[np.clip(pos - 1, 0, len(s) - 1)])
             right = np.abs(s[np.clip(pos, 0, len(s) - 1)] - t)
             out[z] = np.minimum(left, right)
     elif method == "scan":
-        for z in range(n):
+        for z in range(cand.shape[0]):
             if one_d:
                 d = np.abs(cand[z][:, None] - targets[None, :, 0])
             else:
@@ -142,6 +128,33 @@ def exit_min_matrix(system: MapSystem, cols: np.ndarray, method: str = "auto") -
     return out
 
 
+def exit_min_matrix(system: MapSystem, cols: np.ndarray, method: str = "auto",
+                    entry_costs: np.ndarray | None = None) -> np.ndarray:
+    """M[z, j] = min over n of cost(f^n(z), cols[j]) for every sample z.
+
+    ``method`` selects the nearest-iterate kernel: "scan" evaluates every
+    orbit entry directly, "indexed" keeps a sorted projection per orbit
+    (1-D coordinates only).  By default tabulated systems gather from the
+    cost table C[p, j] = cost(p, cols[j]): min over k of C[orbit[z, k], j].
+    With coordinates that table is the transposed entry-cost block, because
+    the Euclidean cost is bitwise symmetric; pass ``entry_costs`` (the
+    ``entry_cost_rows(system, cols)`` block) to reuse it.  All methods produce
+    identical floats, because they minimize over the same candidate values.
+    """
+    if system.is_tabulated and (system.space.matrix is not None or method == "auto"):
+        if system.space.matrix is not None:
+            table = system.space.matrix[:, cols]
+        else:
+            if entry_costs is None:
+                entry_costs = entry_cost_rows(system, cols)
+            table = entry_costs.T
+        out = table[system.orbit_table[:, 0]]
+        for k in range(1, system.horizon):
+            np.minimum(out, table[system.orbit_table[:, k]], out=out)
+        return out
+    return nearest_exit_costs(_exit_points(system), system.space.coords[cols], method)
+
+
 def _pair_level_table(system: MapSystem, x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
     """All candidate levels for the pair (x, y): (entry costs (n,), levels (n, horizon))."""
     entry = entry_cost_rows(system, np.array([x]))[0]
@@ -149,13 +162,9 @@ def _pair_level_table(system: MapSystem, x: int, y: int) -> tuple[np.ndarray, np
         exits = system.space.matrix[system.orbit_table, y]
     else:
         coords = system.space.coords
-        cand = _exit_candidates(system)
-        if system.is_tabulated:
-            cand = coords[cand]
-            if coords.shape[1] == 1:
-                cand = cand[:, :, 0]
-        if cand.ndim == 2:
-            exits = np.abs(cand - coords[y, 0])
+        cand = _exit_points(system)
+        if cand.shape[2] == 1:
+            exits = np.abs(cand[:, :, 0] - coords[y, 0])
         else:
             diff = cand - coords[y][None, None, :]
             exits = np.sqrt(np.sum(diff * diff, axis=2))
@@ -198,17 +207,8 @@ def recompute_witness_level(system: MapSystem, x: int, y: int, witness: LinkWitn
     return max(float(entry), exit_)
 
 
-def level_matrix(system: MapSystem, targets: Iterable[int] | None = None,
-                 threads: int = 1, method: str = "auto") -> LevelMatrix:
-    """Pairwise link levels over the requested samples (all by default).
-
-    Entry samples z always range over the full sample set regardless of the
-    target subset.  Rows may be computed in parallel; the result does not
-    depend on the thread count.
-    """
-    n = system.n
-    if n == 0:
-        raise ValueError("empty sample set")
+def target_indices(n: int, targets: Iterable[int] | None) -> np.ndarray:
+    """Sorted unique target sample indices (all n by default), validated against n."""
     if targets is None:
         tg = np.arange(n)
     else:
@@ -221,27 +221,72 @@ def level_matrix(system: MapSystem, targets: Iterable[int] | None = None,
         raise ResourceLimitError(
             f"{len(tg)} targets exceed the level-matrix cap ({MATRIX_SIZE_CAP}); "
             "use a coarser grid or an explicit target subset")
-    D = entry_cost_rows(system, tg)          # (m, n)
-    M = exit_min_matrix(system, tg, method)  # (n, m)
-    m = len(tg)
-    levels = np.empty((m, m))
+    return tg
+
+
+def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1) -> np.ndarray:
+    """L[i, j] = min over z of max(D[i, z], M[z, j]), the (min, max) matrix product.
+
+    Rows go in tiles of ``TILE_ROWS``.  Within a tile the entry samples z are
+    visited in ascending order of the bound min over the tile's rows of
+    D[:, z], and the scan stops once the bound reaches the tile's running
+    maximum: every skipped candidate is at least that bound, so it cannot
+    lower any entry.  Min and max only select among the input floats, so the
+    result is bit-identical to the full scan over z.  A z whose column of D or
+    row of M holds a NaN gets the bound -inf and is never skipped.  Tiles are
+    independent and each is computed whole by one thread, so the output does
+    not depend on the thread count.
+    """
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    m, n = D.shape
+    out = np.empty((m, M.shape[1]))
+    nan_rows = np.isnan(M).any(axis=1)
+    tiles = [slice(i, min(i + TILE_ROWS, m)) for i in range(0, m, TILE_ROWS)]
 
     def fill(rows: slice) -> None:
-        block = levels[rows]
-        block.fill(np.inf)
         Db = D[rows]
-        for z in range(n):
-            np.minimum(block, np.maximum(Db[:, z][:, None], M[z][None, :]), out=block)
+        block = out[rows]
+        block.fill(np.inf)
+        tmp = np.empty_like(block)
+        bound = Db.min(axis=0)
+        bound[np.isnan(bound) | nan_rows] = -np.inf
+        order = np.argsort(bound, kind="stable")
+        cutoff = np.inf
+        for i, z in enumerate(order):
+            if bound[z] >= cutoff:
+                break
+            np.maximum(Db[:, z, None], M[z], out=tmp)
+            np.minimum(block, tmp, out=block)
+            if i % CUTOFF_EVERY == CUTOFF_EVERY - 1:
+                cutoff = block.max()
 
-    if threads <= 1 or m < 8:
-        fill(slice(0, m))
+    workers = min(threads, len(tiles))
+    if workers <= 1:
+        for rows in tiles:
+            fill(rows)
     else:
-        step = max(1, (m + threads - 1) // threads)
-        chunks = [slice(i, min(i + step, m)) for i in range(0, m, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: fill(s), chunks))
-    return LevelMatrix(levels=levels, targets=tg, horizon=system.horizon,
-                       spacing=system.spacing, kind="map",
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, tiles))
+    return out
+
+
+def level_matrix(system: MapSystem, targets: Iterable[int] | None = None,
+                 threads: int = 1, method: str = "auto") -> LevelMatrix:
+    """Pairwise link levels over the requested samples (all by default).
+
+    Entry samples z always range over the full sample set regardless of the
+    target subset.  Row tiles may be computed in parallel; the result does not
+    depend on the thread count.
+    """
+    n = system.n
+    if n == 0:
+        raise ValueError("empty sample set")
+    tg = target_indices(n, targets)
+    D = entry_cost_rows(system, tg)                                # (m, n)
+    M = exit_min_matrix(system, tg, method, entry_costs=D)         # (n, m)
+    return LevelMatrix(levels=bottleneck_product(D, M, threads), targets=tg,
+                       horizon=system.horizon, spacing=system.spacing, kind="map",
                        meta={"name": system.name, "n": n})
 
 
@@ -266,20 +311,27 @@ class HorizonStabilityReport:
 
 
 def horizon_stability(system: MapSystem, targets: Iterable[int] | None = None,
-                      threads: int = 1) -> HorizonStabilityReport:
+                      threads: int = 1,
+                      full: LevelMatrix | None = None) -> HorizonStabilityReport:
     """Compare levels at the full horizon against half the horizon.
 
     A nonzero change count means some level is still improving with longer
     orbits, i.e. the horizon may be too short for the reported resolution.
+    Pass the full-horizon ``full`` matrix when it is already built; its targets
+    are then used.  A pair reachable only at the full horizon changes by inf.
     """
-    full = level_matrix(system, targets, threads=threads)
+    if full is None:
+        full = level_matrix(system, targets, threads=threads)
+    elif full.kind != "map" or full.horizon != system.horizon:
+        raise ValueError("full matrix was not built at this system's horizon")
     h2 = max(1, system.horizon // 2)
     if system.is_tabulated:
         half_sys = replace(system, horizon=h2, orbit_table=system.orbit_table[:, :h2])
     else:
         half_sys = replace(system, horizon=h2, orbit_coords=system.orbit_coords[:, :h2])
-    half = level_matrix(half_sys, targets, threads=threads)
-    diff = half.levels - full.levels
-    changed = int(np.count_nonzero(diff != 0.0))
-    max_change = float(np.max(np.abs(diff[np.isfinite(diff)]))) if changed else 0.0
-    return HorizonStabilityReport(system.horizon, h2, changed, max_change)
+    half = level_matrix(half_sys, full.targets, threads=threads)
+    changed = half.levels != full.levels
+    diff = np.abs(half.levels[changed] - full.levels[changed])
+    diff = diff[~np.isnan(diff)]
+    max_change = float(diff.max()) if diff.size else 0.0
+    return HorizonStabilityReport(system.horizon, h2, int(np.count_nonzero(changed)), max_change)

@@ -168,10 +168,14 @@ def _build_table(table: dict, horizon: dict, tau_raw) -> LoadedSystem:
             raise SpecError('"table.cost" entries must be numbers or "inf"') from None
         _require(matrix.shape == (n, n), '"table.cost" matrix must be n x n')
     if points is not None:
-        coords = np.asarray(points, dtype=float)
+        try:
+            coords = np.asarray(points, dtype=float)
+        except (TypeError, ValueError):
+            raise SpecError('"table.points" must be a list of coordinate lists') from None
         if coords.ndim == 1:
             coords = coords[:, None]
         _require(coords.shape[0] == n, '"table.points" must match the map length')
+        _require(bool(np.all(np.isfinite(coords))), '"table.points" must be finite numbers')
     n_max = horizon.get("n_max", 2 * n)
     _require(isinstance(n_max, int) and n_max >= 1, '"horizon.n_max" must be a positive integer')
     try:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import numpy as np
 
@@ -73,6 +75,38 @@ class TestAnalyze:
         assert main(["analyze", spec]) == 3
         assert "spacing" in capsys.readouterr().err
 
+    def test_non_finite_table_points_rejected_before_output(self, tmp_path, capsys):
+        p = tmp_path / "nan.json"
+        p.write_text('{"kind": "map", "source": {"table": {"points": [[0.0], [NaN], [1.0]], '
+                     '"cost": "euclidean", "map": [1, 2, 0]}}}')
+        assert main(["analyze", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+
+    def test_flow_blowup_exits_2_with_one_line(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "fy.json", {
+            "kind": "semiflow", "source": {"builtin": "flow_Y"},
+            "horizon": {"dt": 1.0, "t_min": 1.0, "t_max": 800.0}})
+        t0 = time.perf_counter()
+        assert main(["analyze", spec]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("integration error: non-finite state at t=")
+        assert captured.err.count("\n") == 1
+
+    def test_horizon_check_with_unreachable_pairs(self, tmp_path, capsys):
+        inf_cost = [[0.0, "inf", "inf"], ["inf", 0.0, "inf"], ["inf", "inf", 0.0]]
+        for step, n_max, want in (([0, 1, 2], 4, "stable"),
+                                  ([1, 2, 0], 2, "3 pairs changed (max inf)")):
+            spec = write_spec(tmp_path, "inf.json", {
+                "kind": "map", "horizon": {"n_max": n_max},
+                "source": {"table": {"cost": inf_cost, "map": step}}})
+            assert main(["analyze", spec]) == 0
+            err = capsys.readouterr().err
+            assert f"horizon check at n_max={n_max // 2}: {want}\n" in err
+            assert "Warning" not in err
+
     def test_explicit_cost_matrix_table(self, tmp_path):
         spec = write_spec(tmp_path, "m.json", {
             "kind": "map",
@@ -114,6 +148,19 @@ class TestDetect:
         rows = [r.split(",") for r in capsys.readouterr().out.strip().split("\n")[1:]]
         # the start point of the tail is index 0 by construction
         assert any(r[0] == "0" for r in rows)
+
+    def test_golden_stdout_and_json(self, tmp_path, capsys):
+        # certificates carry no witnesses, so neither output names one
+        spec = write_spec(tmp_path, "f2_16.json", {
+            "kind": "map", "source": {"builtin": "f2"},
+            "grid": {"box": [[-1.0, 1.0]], "h": 0.02}, "horizon": {"n_max": 16}})
+        out = tmp_path / "certs.json"
+        assert main(["detect", spec, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == (
+            "dc3f1600b98942d477f320fa0551b700162b5a4c49d7f1f18b24b034ca93e207")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "86727025a6a3c828fa2c2158980404a1f22ce94ed381239327ebf46fdf751865")
 
     def test_semiflow_rejected(self, tmp_path):
         spec = write_spec(tmp_path, "fz.json", {
@@ -211,6 +258,22 @@ class TestDeterminism:
         assert main(["analyze", spec, "--out", str(a), "--threads", "1"]) == 0
         assert main(["analyze", spec, "--out", str(b), "--threads", "8"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_threads_below_one_rejected(self, tmp_path, capsys):
+        spec = f2_spec(tmp_path)
+        for cmd in (["analyze", spec], ["detect", spec],
+                    ["diagram", spec, "--eps-max", "1", "--eps-step", "0.5"]):
+            assert main(cmd + ["--threads", "0"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--threads" in captured.err
+
+    def test_more_threads_than_tiles(self, tmp_path, capsys):
+        spec = f2_spec(tmp_path, h=0.02, box=(-1.0, 1.0))   # 101 samples: two row tiles
+        outs = []
+        for threads in ("1", "16"):
+            assert main(["detect", spec, "--threads", threads]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_detect_bytes_stable_across_threads(self, tmp_path):
         spec = f2_spec(tmp_path, h=0.02)

@@ -76,6 +76,11 @@ class TestFlowLinkLevels:
         with pytest.raises(ValueError):
             flow_link_level(attracting, 0, 0, T=25.0)
 
+    @pytest.mark.parametrize("targets", [[-1, 3], [0, 10_000], []])
+    def test_targets_validated_like_maps(self, attracting, targets):
+        with pytest.raises(ValueError, match="target"):
+            flow_level_matrix(attracting, targets=targets)
+
     def test_duration_monotonicity(self):
         sys = build_builtin_flow("flow_Z", box=[[-1, 1]], spacing=0.05,
                                  dt=0.01, t_min=1.0, t_max=8.0)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from nwfilt.builtins import build_grid_system
+from nwfilt.builtins import (build_builtin_flow, build_grid_system, builtin,
+                             builtin_names, counterexample_tail)
 from nwfilt.core import build_tabulated_system
-from nwfilt.links import (exit_min_matrix, horizon_stability, level_matrix,
-                          link_level, reachable_set, recompute_witness_level)
+from nwfilt.flows import flow_exit_min
+from nwfilt.links import (bottleneck_product, entry_cost_rows, exit_min_matrix,
+                          horizon_stability, level_matrix, link_level,
+                          reachable_set, recompute_witness_level)
 
 
 def brute_pair_level(system, x, y):
@@ -25,6 +28,30 @@ def brute_pair_level(system, x, y):
                 exit_ = np.linalg.norm(pts[k] - coords[y])
             best = min(best, max(entry, exit_))
     return best
+
+
+def brute_product(D, M):
+    """The full (min, max) scan over every entry sample, in index order."""
+    out = np.full((D.shape[0], M.shape[1]), np.inf)
+    for z in range(D.shape[1]):
+        np.minimum(out, np.maximum(D[:, z][:, None], M[z][None, :]), out=out)
+    return out
+
+
+def product_inputs(name):
+    """Entry costs and exit minima of a builtin on a small grid."""
+    kind = builtin(name).kind
+    if kind == "map":
+        sys = build_grid_system(name, box=[[-2, 2]], spacing=0.03, horizon=16)
+    elif kind == "semiflow":
+        sys = build_builtin_flow(name, box=[[-2, 2]], spacing=0.03, dt=0.05,
+                                 t_min=0.5, t_max=3.0)
+        tg = np.arange(sys.n)
+        return entry_cost_rows(sys, tg), flow_exit_min(sys, tg, sys.time_index(0.5))
+    else:
+        sys = counterexample_tail(9, 8)
+    tg = np.arange(sys.n)
+    return entry_cost_rows(sys, tg), exit_min_matrix(sys, tg)
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +206,58 @@ class TestDeterminismAndMethods:
             exit_min_matrix(sys, np.arange(2), method="indexed")
 
 
+class TestBottleneckProduct:
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_builtins_bit_identical_to_full_scan(self, name):
+        D, M = product_inputs(name)
+        want = brute_product(D, M).tobytes()
+        for threads in (1, 2, 3):
+            assert bottleneck_product(D, M, threads).tobytes() == want
+
+    @pytest.mark.parametrize("m", [1, 5, 7, 64, 130])
+    def test_random_asymmetric_tables_with_inf(self, m):
+        rng = np.random.default_rng(m)
+        for n in (1, 3, 70):
+            D = rng.uniform(0.0, 2.0, (m, n))
+            M = rng.choice([0.0, 0.5, 1.0, 1.5], (n, m)) + rng.uniform(0.0, 1e-3, (n, m))
+            D[rng.random((m, n)) < 0.2] = np.inf
+            M[rng.random((n, m)) < 0.3] = np.inf
+            want = brute_product(D, M).tobytes()
+            for threads in (1, 2, 3):
+                assert bottleneck_product(D, M, threads).tobytes() == want
+
+    def test_nan_entries_are_never_skipped(self):
+        rng = np.random.default_rng(7)
+        m, n = 100, 90
+        D = rng.uniform(0.0, 1.0, (m, n))
+        M = rng.uniform(0.0, 1.0, (n, m))
+        D[:, 40] += 5.0        # far entry samples the pruning would skip...
+        M[40, 3] = np.nan      # ...unless a NaN forces them in
+        D[70, 60] = 9.0
+        D[71, 60] = np.nan
+        want = brute_product(D, M)
+        assert np.isnan(want[:, 3]).all() and np.isnan(want[71]).all()
+        for threads in (1, 2, 3):
+            np.testing.assert_array_equal(bottleneck_product(D, M, threads), want)
+
+    def test_threads_below_one_rejected(self):
+        with pytest.raises(ValueError, match="threads"):
+            bottleneck_product(np.zeros((2, 2)), np.zeros((2, 2)), threads=0)
+
+    def test_tabulated_coordinate_exit_min_matches_scan(self):
+        rng = np.random.default_rng(17)
+        systems = [counterexample_tail(8, 6)]
+        for d in (1, 2, 3):
+            n = 12
+            systems.append(build_tabulated_system(rng.integers(0, n, size=n), horizon=7,
+                                                  coords=rng.uniform(-1, 1, (n, d))))
+        for sys in systems:
+            for cols in (np.arange(sys.n), np.array([0, 3, 5])):
+                np.testing.assert_array_equal(
+                    exit_min_matrix(sys, cols).tobytes(),
+                    exit_min_matrix(sys, cols, method="scan").tobytes())
+
+
 class TestInfiniteCosts:
     def test_inf_is_absorbing_under_max(self):
         m = np.array([[0.0, np.inf], [np.inf, 0.0]])
@@ -198,6 +277,32 @@ class TestHorizonStability:
             sys = build_tabulated_system(table, horizon=4 * n, cost_matrix=cost)
             rep = horizon_stability(sys)
             assert rep.stable
+
+    def test_reuses_a_prebuilt_full_matrix(self, f2_small):
+        rep = horizon_stability(f2_small, full=level_matrix(f2_small))
+        assert rep == horizon_stability(f2_small)
+        sys = build_tabulated_system([1, 2, 3, 0], horizon=2,
+                                     cost_matrix=np.ones((4, 4)) - np.eye(4))
+        assert horizon_stability(sys, full=level_matrix(sys)) == horizon_stability(sys)
+
+    def test_full_matrix_must_match_the_horizon(self, f2_small):
+        short = build_grid_system("f2", box=[[-2, 2]], spacing=0.01, horizon=8)
+        with pytest.raises(ValueError, match="horizon"):
+            horizon_stability(f2_small, full=level_matrix(short))
+
+    def test_pairs_unreachable_at_both_horizons_are_unchanged(self):
+        m = np.array([[0.0, np.inf], [np.inf, 0.0]])
+        sys = build_tabulated_system([0, 1], horizon=4, cost_matrix=m)
+        with np.errstate(all="raise"):
+            rep = horizon_stability(sys)
+        assert rep.stable and rep.max_change == 0.0
+
+    def test_pair_reachable_only_at_full_horizon_changes_by_inf(self):
+        m = np.where(np.eye(3, dtype=bool), 0.0, np.inf)
+        sys = build_tabulated_system([1, 2, 0], horizon=2, cost_matrix=m)
+        rep = horizon_stability(sys)
+        # 0 -> 2 and 1 -> 0, 2 -> 1 need two steps; nothing else can move
+        assert rep.changed_pairs == 3 and rep.max_change == np.inf
 
     def test_short_horizon_is_flagged(self):
         # a 4-cycle seen with horizon 2 cannot close up
