@@ -37,6 +37,7 @@ EXIT_OK = 0
 EXIT_NONE = 1
 EXIT_SPEC = 2
 EXIT_RESOURCE = 3
+MAX_BUDGETS = 10_000   # diagram budgets from --eps-min to --eps-max, the gate before any work
 
 
 def _matrix_and_summary(loaded: LoadedSystem, threads: int):
@@ -89,23 +90,30 @@ def cmd_analyze(args) -> int:
 
 
 def _parse_magnitudes(args) -> list[float]:
+    """The positive budgets eps_min, eps_min + step, ... up to eps_max, each rounded."""
+    if not all(np.isfinite([args.eps_min, args.eps_max, args.eps_step])):
+        raise SpecError("--eps-min, --eps-max and --eps-step must be finite")
     if args.eps_step <= 0:
         raise SpecError("--eps-step must be positive")
     if args.eps_min > args.eps_max:
         raise SpecError("--eps-min must not exceed --eps-max")
     mags = []
     v = args.eps_min
-    while v <= args.eps_max + 1e-12:
+    for _ in range(MAX_BUDGETS + 1):
+        if v > args.eps_max + 1e-12:
+            return mags
         if v > 0:
             mags.append(round(v, 12))
         v += args.eps_step
-    return mags
+    raise ResourceLimitError(
+        f"more than {MAX_BUDGETS} budgets from --eps-min to --eps-max; "
+        "use a larger --eps-step or a narrower range")
 
 
 def cmd_diagram(args) -> int:
+    mags = _parse_magnitudes(args)
     loaded = load_system(args.spec)
     _, summary = _matrix_and_summary(loaded, args.threads)
-    mags = _parse_magnitudes(args)
     levels = [ExtendedLevel(Branch.NEG, m) for m in reversed(mags)]
     levels += [ExtendedLevel(Branch.NEG, 0.0), ExtendedLevel(Branch.POS, 0.0)]
     levels += [ExtendedLevel(Branch.POS, m) for m in mags]
@@ -122,6 +130,8 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise SpecError("--limit must be at least 1")
     loaded = load_system(args.spec)
     if loaded.kind != "map":
         raise SpecError("certificate detection runs on maps")

@@ -28,7 +28,9 @@ from .core import MapSystem, ResourceLimitError, points_to_samples_cost
 
 MATRIX_SIZE_CAP = 6000
 TILE_ROWS = 64       # rows per product tile; the unit of work split across threads
-CUTOFF_EVERY = 16    # entry samples between refreshes of a tile's running maximum
+COL_BLOCK = 128      # target columns per block of a tile that is split
+CUTOFF_EVERY = 16    # entry samples between refreshes of a scan's running maximum
+CALL_COST = 1000     # (row, column) pairs one numpy call pair costs, for the split choice
 
 
 @dataclass(frozen=True)
@@ -224,42 +226,76 @@ def target_indices(n: int, targets: Iterable[int] | None) -> np.ndarray:
     return tg
 
 
+def _scan(acc: np.ndarray, tmp: np.ndarray, Dz: np.ndarray, M: np.ndarray,
+          zs: np.ndarray, bounds: np.ndarray) -> None:
+    """acc = min(acc, max(Dz[z], M[z])) over zs, in order, until a bound reaches
+    acc's running maximum (refreshed every ``CUTOFF_EVERY`` samples).  Dz[z] is
+    the (rows, 1) entry-cost column of z."""
+    cutoff = acc.max()
+    for i, z in enumerate(zs):
+        if bounds[i] >= cutoff:
+            break
+        np.maximum(Dz[z], M[z], out=tmp)
+        np.minimum(acc, tmp, out=acc)
+        if i % CUTOFF_EVERY == CUTOFF_EVERY - 1:
+            cutoff = acc.max()
+
+
 def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1) -> np.ndarray:
     """L[i, j] = min over z of max(D[i, z], M[z, j]), the (min, max) matrix product.
 
-    Rows go in tiles of ``TILE_ROWS``.  Within a tile the entry samples z are
-    visited in ascending order of the bound min over the tile's rows of
-    D[:, z], and the scan stops once the bound reaches the tile's running
-    maximum: every skipped candidate is at least that bound, so it cannot
-    lower any entry.  Min and max only select among the input floats, so the
-    result is bit-identical to the full scan over z.  A z whose column of D or
-    row of M holds a NaN gets the bound -inf and is never skipped.  Tiles are
-    independent and each is computed whole by one thread, so the output does
-    not depend on the thread count.
+    Rows go in tiles of ``TILE_ROWS``.  Every candidate max(D[i, z], M[z, j])
+    of a tile is at least the entry bound min over the tile's rows of D[:, z];
+    within a block of ``COL_BLOCK`` target columns it is also at least the exit
+    bound min over the block of M[z, :].  A tile first visits its
+    ``CUTOFF_EVERY`` entry samples of least entry bound at full width.  It then
+    finishes either at full width, visiting the rest in ascending entry bound,
+    or block by block, visiting them in ascending order of the larger of the
+    two bounds, whichever is estimated cheaper (``CALL_COST`` prices one numpy
+    call pair in (row, column) pairs).  Each scan stops once the bound reaches
+    its running maximum: every skipped candidate is at least that bound, so it
+    cannot lower any entry.  Min and max only select among the input floats,
+    so the result is bit-identical to the full scan over z.  A z whose row of
+    M or column of the tile's D holds a NaN gets the bound -inf and is never
+    skipped.  Tiles are independent and each is computed whole by one thread,
+    so the output does not depend on the thread count.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
     m, n = D.shape
-    out = np.empty((m, M.shape[1]))
+    cols = M.shape[1]
+    out = np.empty((m, cols))
     nan_rows = np.isnan(M).any(axis=1)
+    starts = np.arange(0, cols, COL_BLOCK)
+    widths = np.diff(np.append(starts, cols))
+    exit_bound = np.minimum.reduceat(M, starts, axis=1)               # (n, blocks)
     tiles = [slice(i, min(i + TILE_ROWS, m)) for i in range(0, m, TILE_ROWS)]
 
     def fill(rows: slice) -> None:
-        Db = D[rows]
-        block = out[rows]
-        block.fill(np.inf)
-        tmp = np.empty_like(block)
-        bound = Db.min(axis=0)
-        bound[np.isnan(bound) | nan_rows] = -np.inf
+        Dz = D[rows].T[:, :, None]                                   # (n, rows, 1)
+        acc = out[rows]
+        acc.fill(np.inf)
+        bound = Dz.min(axis=(1, 2))
+        forced = np.isnan(bound) | nan_rows
+        bound[forced] = -np.inf
         order = np.argsort(bound, kind="stable")
-        cutoff = np.inf
-        for i, z in enumerate(order):
-            if bound[z] >= cutoff:
-                break
-            np.maximum(Db[:, z, None], M[z], out=tmp)
-            np.minimum(block, tmp, out=block)
-            if i % CUTOFF_EVERY == CUTOFF_EVERY - 1:
-                cutoff = block.max()
+        head, rest = order[:CUTOFF_EVERY], order[CUTOFF_EVERY:]
+        tmp = np.empty_like(acc)
+        _scan(acc, tmp, Dz, M, head, bound[head])
+        r = acc.shape[0]
+        whole = np.count_nonzero(bound[rest] < acc.max()) * (r * cols + CALL_COST)
+        block_max = np.maximum.reduceat(acc.max(axis=0), starts)
+        both = np.maximum(bound[rest, None], exit_bound[rest])        # (rest, blocks)
+        both[forced[rest]] = -np.inf
+        split = np.count_nonzero(both < block_max, axis=0) @ (r * widths + CALL_COST)
+        if split >= whole:
+            _scan(acc, tmp, Dz, M, rest, bound[rest])
+            return
+        for b, (a, w) in enumerate(zip(starts, widths)):
+            blk = acc[:, a:a + w].copy()
+            sub = np.argsort(both[:, b], kind="stable")
+            _scan(blk, np.empty_like(blk), Dz, M[:, a:a + w], rest[sub], both[sub, b])
+            acc[:, a:a + w] = blk
 
     workers = min(threads, len(tiles))
     if workers <= 1:

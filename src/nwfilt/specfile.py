@@ -90,6 +90,10 @@ def build_from_spec(spec: dict, max_samples: int = DEFAULT_MAX_SAMPLES) -> Loade
     except KeyError as e:
         raise SpecError(str(e)) from None
     params = source.get("params", {}) or {}
+    _require(isinstance(params, dict), '"source.params" must be an object')
+    known = ["m_max", "n_max"] if b.kind == "table" else []
+    unknown = sorted(set(params) - set(known))
+    _require(not unknown, f"unknown params {unknown} for builtin {name!r} (known: {known or 'none'})")
 
     if b.kind == "table":
         _require(kind == "map", f"builtin {name!r} is a map")
@@ -142,6 +146,8 @@ def _grid_fields(grid, b) -> tuple[list, float]:
     box = grid.get("box", [list(b.default_box)])
     _require(isinstance(box, list) and box and all(
         isinstance(iv, list) and len(iv) == 2 for iv in box), '"grid.box" must be [[lo, hi], ...]')
+    _require(len(box) == 1, f'builtin {b.name!r} lives on the line; "grid.box" must be '
+             f'one [lo, hi] interval, got {len(box)}')
     h = grid.get("h", b.default_spacing)
     _require(isinstance(h, (int, float)) and h > 0, '"grid.h" must be positive')
     return box, float(h)

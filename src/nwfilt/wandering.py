@@ -42,6 +42,8 @@ def find_wandering_certificates(matrix: LevelMatrix, min_gap: float,
     """
     if min_gap <= 0:
         raise ValueError("min_gap must be positive")
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be at least 1")
     L = matrix.levels
     with np.errstate(invalid="ignore"):
         gap = L.T - L   # inf - inf yields NaN, which never passes the gate

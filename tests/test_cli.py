@@ -3,8 +3,10 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from nwfilt.cli import main
+from nwfilt.core import ResourceLimitError
 
 
 def write_spec(tmp_path, name, payload):
@@ -107,6 +109,24 @@ class TestAnalyze:
             assert f"horizon check at n_max={n_max // 2}: {want}\n" in err
             assert "Warning" not in err
 
+    def test_unknown_builtin_params_rejected(self, tmp_path, capsys):
+        for name, params in (("f2", {"bogus": 3}),
+                             ("counterexample_tail", {"n_max": 4, "bogus": 3})):
+            spec = write_spec(tmp_path, "p.json", {
+                "kind": "map", "source": {"builtin": name, "params": params}})
+            assert main(["analyze", spec]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "'bogus'" in captured.err
+
+    def test_box_dimension_must_match_the_builtin(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "b.json", {
+            "kind": "map", "source": {"builtin": "f2"},
+            "grid": {"box": [[-1.0, 1.0], [-1.0, 1.0]], "h": 0.5}})
+        assert main(["analyze", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "one [lo, hi] interval" in captured.err and "reshape" not in captured.err
+
     def test_explicit_cost_matrix_table(self, tmp_path):
         spec = write_spec(tmp_path, "m.json", {
             "kind": "map",
@@ -162,6 +182,17 @@ class TestDetect:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "86727025a6a3c828fa2c2158980404a1f22ce94ed381239327ebf46fdf751865")
 
+    def test_limit_below_one_rejected(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "f2.json", {
+            "kind": "map", "source": {"builtin": "f2"},
+            "grid": {"box": [[-1.0, 1.0]], "h": 0.1}, "horizon": {"n_max": 8}})
+        for limit in ("-1", "0"):
+            assert main(["detect", spec, "--limit", limit]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--limit" in captured.err
+        assert main(["detect", spec, "--limit", "1"]) == 0
+        assert capsys.readouterr().out.count("\n") == 2
+
     def test_semiflow_rejected(self, tmp_path):
         spec = write_spec(tmp_path, "fz.json", {
             "kind": "semiflow", "source": {"builtin": "flow_Z"},
@@ -204,6 +235,31 @@ class TestDiagram:
     def test_zero_step_rejected(self, tmp_path):
         spec = f2_spec(tmp_path)
         assert main(["diagram", spec, "--eps-max", "1", "--eps-step", "0"]) == 2
+
+    def test_slice_count_gated_before_any_work(self, tmp_path, capsys):
+        # the spec would fail to load, so each verdict comes before any loading
+        spec = write_spec(tmp_path, "u.json", {"kind": "map",
+                                               "source": {"builtin": "mystery"}})
+        for args, code, hint in ((["--eps-max", "2", "--eps-step", "1e-9"], 3, "--eps-step"),
+                                 (["--eps-min", "1e6", "--eps-max", "1e6",
+                                   "--eps-step", "1e-12"], 3, "--eps-step"),
+                                 (["--eps-max", "inf", "--eps-step", "1"], 2, "finite"),
+                                 (["--eps-max", "1", "--eps-step", "nan"], 2, "finite")):
+            assert main(["diagram", spec, *args]) == code
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert hint in captured.err
+
+    def test_magnitudes_at_the_gate(self):
+        from argparse import Namespace
+        from nwfilt.cli import MAX_BUDGETS, _parse_magnitudes
+        mags = _parse_magnitudes(Namespace(eps_min=0.0, eps_max=2.0, eps_step=0.25))
+        assert mags == [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
+        step = 1.0 / 8192   # a power of two, so the budgets are exact
+        at_cap = Namespace(eps_min=step, eps_max=MAX_BUDGETS * step, eps_step=step)
+        assert len(_parse_magnitudes(at_cap)) == MAX_BUDGETS
+        with pytest.raises(ResourceLimitError):
+            _parse_magnitudes(Namespace(eps_min=0.0, eps_max=MAX_BUDGETS * step, eps_step=step))
 
 
 class TestVerify:

@@ -4,6 +4,7 @@ import pytest
 from nwfilt.builtins import (build_builtin_flow, build_grid_system, builtin,
                              builtin_names, counterexample_tail)
 from nwfilt.core import build_tabulated_system
+from nwfilt import links
 from nwfilt.flows import flow_exit_min
 from nwfilt.links import (bottleneck_product, entry_cost_rows, exit_min_matrix,
                           horizon_stability, level_matrix, link_level,
@@ -52,6 +53,28 @@ def product_inputs(name):
         sys = counterexample_tail(9, 8)
     tg = np.arange(sys.n)
     return entry_cost_rows(sys, tg), exit_min_matrix(sys, tg)
+
+
+def traced_product(monkeypatch, D, M, threads, call_cost):
+    """The product with CALL_COST patched, and the column widths it scanned at."""
+    widths = set()
+    scan = links._scan
+
+    def recording(acc, tmp, Dz, Mv, zs, bounds):
+        widths.add(Mv.shape[1])
+        scan(acc, tmp, Dz, Mv, zs, bounds)
+
+    monkeypatch.setattr(links, "CALL_COST", call_cost)
+    monkeypatch.setattr(links, "_scan", recording)
+    out = bottleneck_product(D, M, threads)
+    monkeypatch.undo()
+    return out, widths
+
+
+# Extreme call costs force each finishing path wherever the blocks together
+# would visit more entry samples than the whole width: a huge cost keeps the
+# whole width, a hugely negative one splits.
+FORCE_WHOLE, FORCE_SPLIT = 10**12, -10**12
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +262,62 @@ class TestBottleneckProduct:
         assert np.isnan(want[:, 3]).all() and np.isnan(want[71]).all()
         for threads in (1, 2, 3):
             np.testing.assert_array_equal(bottleneck_product(D, M, threads), want)
+
+    def test_nan_entries_are_never_skipped_in_split_tiles(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        m, n = 300, 260
+        x = np.sort(rng.uniform(-1.0, 1.0, m))
+        p = rng.uniform(-1.0, 1.0, n)
+        D = np.abs(x[:, None] - p[None, :])
+        M = np.abs(rng.uniform(-1.0, 1.0, (n, 1)) - x[None, :])
+        D[:, 40] += 5.0        # far entry samples the pruning would skip...
+        M[40, 290] = np.nan    # ...unless a NaN forces them in
+        D[200, 60] = 9.0
+        D[201, 60] = np.nan
+        M[60:62] += 5.0
+        M[61, 7] = np.nan
+        M[:16, 5] = np.nan     # fills the warm-up, so 60 is forced in after it
+        want = brute_product(D, M)
+        assert np.isnan(want[:, 290]).all() and np.isnan(want[201]).all()
+        assert np.isnan(want[:, [5, 7]]).all()
+        for cost in (links.CALL_COST, FORCE_SPLIT):
+            for threads in (1, 2, 3):
+                got, widths = traced_product(monkeypatch, D, M, threads, cost)
+                np.testing.assert_array_equal(got, want)
+                assert min(widths) < m or cost != FORCE_SPLIT
+
+    @pytest.mark.parametrize("m, n", [(100, 100), (300, 300), (257, 90), (129, 400)])
+    def test_partial_blocks_on_both_paths(self, monkeypatch, m, n):
+        rng = np.random.default_rng(m + n)
+        dense = (rng.uniform(0.0, 1.0, (m, n)), rng.uniform(0.0, 1.0, (n, m)))
+        x = np.sort(rng.uniform(-1.0, 1.0, m))
+        p = rng.uniform(-1.0, 1.0, n)
+        orbit = p[:, None] * rng.uniform(-2.0, 2.0, (1, 3))
+        banded = (np.abs(x[:, None] - p[None, :]),
+                  np.abs(orbit[:, :, None] - x[None, None, :]).min(axis=1))
+        seen = set()
+        for D, M in (dense, banded):
+            want = brute_product(D, M).tobytes()
+            for cost in (links.CALL_COST, FORCE_WHOLE, FORCE_SPLIT):
+                for threads in (1, 2, 3):
+                    got, widths = traced_product(monkeypatch, D, M, threads, cost)
+                    assert got.tobytes() == want
+                    seen.add(min(widths) < m)
+        assert seen == ({True, False} if m > links.COL_BLOCK else {False})
+
+    def test_target_subsets_split_and_match(self, monkeypatch):
+        f2 = build_grid_system("f2", box=[[-3, 3]], spacing=0.01, horizon=16)
+        flow = build_builtin_flow("flow_att", box=[[-2, 2]], spacing=0.01, dt=0.05,
+                                  t_min=0.5, t_max=3.0)
+        for sys, exit_min in ((f2, lambda tg: exit_min_matrix(f2, tg)),
+                              (flow, lambda tg: flow_exit_min(flow, tg, flow.time_index(0.5)))):
+            tg = np.arange(1, sys.n, 2)                 # m = 300 of n = 601 or 401
+            D, M = entry_cost_rows(sys, tg), exit_min(tg)
+            want = brute_product(D, M).tobytes()
+            for threads in (1, 2, 3):
+                got, widths = traced_product(monkeypatch, D, M, threads, links.CALL_COST)
+                assert got.tobytes() == want
+                assert min(widths) < len(tg)
 
     def test_threads_below_one_rejected(self):
         with pytest.raises(ValueError, match="threads"):

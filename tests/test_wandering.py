@@ -72,6 +72,23 @@ class TestDetector:
         with pytest.raises(ValueError):
             find_wandering_certificates(two_point[1], 0.0)
 
+    def test_limit_below_one_rejected(self, two_point):
+        for limit in (0, -1):
+            with pytest.raises(ValueError, match="limit"):
+                find_wandering_certificates(two_point[1], 0.5, limit=limit)
+
+    def test_matches_per_pair_construction_on_a_target_subset(self, f2):
+        sys = f2[0]
+        mat = level_matrix(sys, targets=range(3, sys.n, 2))
+        L, tg = mat.levels, mat.targets
+        want = sorted(((-(L[j, i] - L[i, j]), int(tg[i]), int(tg[j]), float(L[i, j]))
+                       for i in range(mat.m) for j in range(mat.m)
+                       if np.isfinite(L[i, j]) and L[j, i] - L[i, j] >= 0.3))
+        certs = find_wandering_certificates(mat, 0.3)
+        assert [(-c.gap, c.x, c.z, c.eps) for c in certs] == want
+        assert all(type(v) in (int, float) for c in certs for v in (c.x, c.z, c.eps, c.gap))
+        assert find_wandering_certificates(mat, 0.3, limit=5) == certs[:5]
+
     def test_refinement_stability(self):
         coarse_sys = build_grid_system("f2", box=[[-2, 2]], spacing=0.02, horizon=64)
         coarse = level_matrix(coarse_sys)
