@@ -9,15 +9,19 @@ Subcommands:
 
 Standard output carries data, standard error carries diagnostics; they are
 never mixed.  Exit codes: 0 success (and certificates found / zero
-violations), 1 no certificates / violations found, 2 bad specification,
-3 resource limit exceeded.  All randomness is seed-controlled and every
-output is byte-stable across runs and thread counts.
+violations), 1 no certificates / violations found, 2 bad specification or
+arguments (an unreadable spec file or an unwritable output path included),
+3 resource limit exceeded.  Output paths are checked before any work, and
+side files are written before standard output, so a command that exits 2 or
+3 writes nothing to standard output.  All randomness is seed-controlled and
+every output is byte-stable across runs and thread counts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -60,18 +64,31 @@ def _write(path: str | None, data: bytes) -> None:
         Path(path).write_bytes(data)
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Reject output paths that cannot be written, before any work starts."""
+    for p in paths:
+        if p is None or p == "-":
+            continue
+        path = Path(p)
+        if not path.parent.is_dir():
+            raise SpecError(f"cannot write {p}: no directory {path.parent}")
+        if path.is_dir() or not os.access(path if path.exists() else path.parent, os.W_OK):
+            raise SpecError(f"cannot write {p}")
+
+
 def _diag(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
 def cmd_analyze(args) -> int:
+    _check_writable(args.out, args.matrix_out)
     loaded = load_system(args.spec)
     matrix, summary = _matrix_and_summary(loaded, args.threads)
-    _write(args.out, export_levels_csv(summary, _coords(loaded)))
     if args.matrix_out:
         header = ",".join(str(int(t)) for t in matrix.targets)
         rows = "\n".join(",".join(f"{v:.9g}" for v in row) for row in matrix.levels)
         Path(args.matrix_out).write_bytes((header + "\n" + rows + "\n").encode())
+    _write(args.out, export_levels_csv(summary, _coords(loaded)))
     meta = loaded.meta
     if loaded.kind == "map":
         _diag(f"{loaded.name}: n={loaded.system.n} h={meta.get('h')} "
@@ -112,6 +129,7 @@ def _parse_magnitudes(args) -> list[float]:
 
 def cmd_diagram(args) -> int:
     mags = _parse_magnitudes(args)
+    _check_writable(args.json, args.svg)
     loaded = load_system(args.spec)
     _, summary = _matrix_and_summary(loaded, args.threads)
     levels = [ExtendedLevel(Branch.NEG, m) for m in reversed(mags)]
@@ -120,10 +138,9 @@ def cmd_diagram(args) -> int:
     slices = diagram(summary, levels)
     doc = build_document(summary, slices, loaded.meta, _coords(loaded),
                          loaded.system.spacing)
-    payload = export_diagram_json(doc)
-    _write(args.json, payload)
     if args.svg:
         Path(args.svg).write_bytes(render_svg(doc, args.width, args.height))
+    _write(args.json, export_diagram_json(doc))
     _diag(f"{loaded.name}: {len(slices)} slices over "
           f"[-{args.eps_max}, -0] and [+0, {args.eps_max}]")
     return EXIT_OK
@@ -132,6 +149,7 @@ def cmd_diagram(args) -> int:
 def cmd_detect(args) -> int:
     if args.limit is not None and args.limit < 1:
         raise SpecError("--limit must be at least 1")
+    _check_writable(args.out)
     loaded = load_system(args.spec)
     if loaded.kind != "map":
         raise SpecError("certificate detection runs on maps")
@@ -140,11 +158,6 @@ def cmd_detect(args) -> int:
     min_gap = args.min_gap if args.min_gap is not None else (4.0 * h if h else 1e-9)
     certs = find_wandering_certificates(matrix, min_gap, limit=args.limit)
     coords = _coords(loaded)
-    lines = ["x,z,eps,gap"]
-    for c in certs:
-        lines.append(f"{c.x},{c.z},{c.eps:.9g},{c.gap:.9g}")
-    sys.stdout.write("\n".join(lines) + "\n")
-    sys.stdout.flush()
     if args.out:
         payload = {"schema_version": 1,
                    "system": loaded.meta, "min_gap": min_gap,
@@ -155,6 +168,11 @@ def cmd_detect(args) -> int:
                         "eps": c.eps, "gap": float(c.gap) if np.isfinite(c.gap) else "inf"}
                        for c in certs]}
         Path(args.out).write_bytes((json.dumps(payload, indent=2) + "\n").encode())
+    lines = ["x,z,eps,gap"]
+    for c in certs:
+        lines.append(f"{c.x},{c.z},{c.eps:.9g},{c.gap:.9g}")
+    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.flush()
     _diag(f"{loaded.name}: {len(certs)} certificates at min_gap={min_gap:.9g} "
           f"(evidence at sampled resolution, not proof)")
     return EXIT_OK if certs else EXIT_NONE
@@ -248,6 +266,9 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except ValueError as e:
         _diag(f"error: {e}")
+        return EXIT_SPEC
+    except OSError as e:
+        _diag(f"I/O error: {e}")
         return EXIT_SPEC
 
 

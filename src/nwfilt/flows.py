@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import CostSpace, DEFAULT_MAX_SAMPLES, grid_points, points_to_samples_cost
-from .links import LevelMatrix, bottleneck_product, nearest_exit_costs, target_indices
+from .links import LevelMatrix, nearest_exit_costs, ordered_product, target_indices
 
 
 class IntegrationError(RuntimeError):
@@ -151,9 +151,13 @@ def flow_level_matrix(system: SemiflowSystem, T: float | None = None,
     i_min, t = _duration_window(system, T)
     n = system.n
     tg = target_indices(n, targets)
-    D = points_to_samples_cost(system.space.coords[tg], system.space)
-    M = flow_exit_min(system, tg, i_min)
-    return LevelMatrix(levels=bottleneck_product(D, M, threads), targets=tg,
+    coords = system.space.coords
+
+    def costs(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (points_to_samples_cost(coords[cols], system.space),
+                flow_exit_min(system, cols, i_min))
+
+    return LevelMatrix(levels=ordered_product(coords, tg, costs, threads), targets=tg,
                        horizon=system.steps, spacing=system.spacing, kind="flow",
                        meta={"name": system.name, "n": n, "dt": system.dt,
                              "t_min": t, "t_max": system.t_max})

@@ -20,17 +20,16 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .core import MapSystem, ResourceLimitError, points_to_samples_cost
 
 MATRIX_SIZE_CAP = 6000
-TILE_ROWS = 64       # rows per product tile; the unit of work split across threads
-COL_BLOCK = 128      # target columns per block of a tile that is split
-CUTOFF_EVERY = 16    # entry samples between refreshes of a scan's running maximum
-CALL_COST = 1000     # (row, column) pairs one numpy call pair costs, for the split choice
+CELL_ROWS = 32       # target rows per product cell; row bands are split across threads
+CELL_COLS = 32       # target columns per product cell
+BATCH = 64           # entry samples a cell visits per numpy call
 
 
 @dataclass(frozen=True)
@@ -226,85 +225,105 @@ def target_indices(n: int, targets: Iterable[int] | None) -> np.ndarray:
     return tg
 
 
-def _scan(acc: np.ndarray, tmp: np.ndarray, Dz: np.ndarray, M: np.ndarray,
-          zs: np.ndarray, bounds: np.ndarray) -> None:
-    """acc = min(acc, max(Dz[z], M[z])) over zs, in order, until a bound reaches
-    acc's running maximum (refreshed every ``CUTOFF_EVERY`` samples).  Dz[z] is
-    the (rows, 1) entry-cost column of z."""
-    cutoff = acc.max()
-    for i, z in enumerate(zs):
-        if bounds[i] >= cutoff:
-            break
-        np.maximum(Dz[z], M[z], out=tmp)
-        np.minimum(acc, tmp, out=acc)
-        if i % CUTOFF_EVERY == CUTOFF_EVERY - 1:
-            cutoff = acc.max()
+def cell_order(coords: np.ndarray | None, tg: np.ndarray) -> np.ndarray:
+    """Positions of ``tg`` in k-d order: neighbouring targets share product cells.
+
+    The targets are sorted along their widest axis (stable argsort) and split
+    at the multiple of ``CELL_ROWS`` nearest the median, until each leaf holds
+    at most ``CELL_ROWS`` of them; so every leaf is one row band of cells.
+    Without coordinates the targets keep their order, and so do sorted 1-D
+    targets.
+    """
+    perm = np.arange(len(tg))
+    if coords is None:
+        return perm
+    pts = coords[tg]
+    stack = [(0, len(tg))]
+    while stack:
+        a, b = stack.pop()
+        if b - a <= CELL_ROWS:
+            continue
+        p = pts[perm[a:b]]
+        axis = int(np.argmax(p.max(axis=0) - p.min(axis=0)))
+        perm[a:b] = perm[a:b][np.argsort(p[:, axis], kind="stable")]
+        mid = a + (b - a + CELL_ROWS) // (2 * CELL_ROWS) * CELL_ROWS
+        stack += [(a, mid), (mid, b)]
+    return perm
 
 
 def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1) -> np.ndarray:
     """L[i, j] = min over z of max(D[i, z], M[z, j]), the (min, max) matrix product.
 
-    Rows go in tiles of ``TILE_ROWS``.  Every candidate max(D[i, z], M[z, j])
-    of a tile is at least the entry bound min over the tile's rows of D[:, z];
-    within a block of ``COL_BLOCK`` target columns it is also at least the exit
-    bound min over the block of M[z, :].  A tile first visits its
-    ``CUTOFF_EVERY`` entry samples of least entry bound at full width.  It then
-    finishes either at full width, visiting the rest in ascending entry bound,
-    or block by block, visiting them in ascending order of the larger of the
-    two bounds, whichever is estimated cheaper (``CALL_COST`` prices one numpy
-    call pair in (row, column) pairs).  Each scan stops once the bound reaches
-    its running maximum: every skipped candidate is at least that bound, so it
-    cannot lower any entry.  Min and max only select among the input floats,
-    so the result is bit-identical to the full scan over z.  A z whose row of
-    M or column of the tile's D holds a NaN gets the bound -inf and is never
-    skipped.  Tiles are independent and each is computed whole by one thread,
-    so the output does not depend on the thread count.
+    The output goes in cells of ``CELL_ROWS`` x ``CELL_COLS``.  Every candidate
+    max(D[i, z], M[z, j]) of a cell is at least z's bound: the larger of the
+    least entry cost D[i, z] over the cell's rows and the least exit cost
+    M[z, j] over its columns.  A cell visits z in ascending bound, ``BATCH``
+    samples per numpy call, and stops once the next batch's first bound
+    reaches the cell's maximum: every skipped candidate is at least that
+    bound, so it cannot lower any entry.  Min and max only select among the
+    input floats, so the result is bit-identical to the full scan over z.  A z
+    with a NaN among the cell's entry or exit costs gets the bound -inf and is
+    never skipped.  Rows are cut into bands of cells, and each band is computed
+    whole by one thread, so the output does not depend on the thread count.
+    Targets that are close in space share cells and tighten the bounds; see
+    ``cell_order``.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
     m, n = D.shape
     cols = M.shape[1]
     out = np.empty((m, cols))
-    nan_rows = np.isnan(M).any(axis=1)
-    starts = np.arange(0, cols, COL_BLOCK)
-    widths = np.diff(np.append(starts, cols))
-    exit_bound = np.minimum.reduceat(M, starts, axis=1)               # (n, blocks)
-    tiles = [slice(i, min(i + TILE_ROWS, m)) for i in range(0, m, TILE_ROWS)]
+    starts = np.arange(0, cols, CELL_COLS)
+    exit_bound = np.minimum.reduceat(M, starts, axis=1)               # (n, cells)
+    bands = [slice(i, min(i + CELL_ROWS, m)) for i in range(0, m, CELL_ROWS)]
 
     def fill(rows: slice) -> None:
-        Dz = D[rows].T[:, :, None]                                   # (n, rows, 1)
-        acc = out[rows]
-        acc.fill(np.inf)
-        bound = Dz.min(axis=(1, 2))
-        forced = np.isnan(bound) | nan_rows
-        bound[forced] = -np.inf
-        order = np.argsort(bound, kind="stable")
-        head, rest = order[:CUTOFF_EVERY], order[CUTOFF_EVERY:]
-        tmp = np.empty_like(acc)
-        _scan(acc, tmp, Dz, M, head, bound[head])
-        r = acc.shape[0]
-        whole = np.count_nonzero(bound[rest] < acc.max()) * (r * cols + CALL_COST)
-        block_max = np.maximum.reduceat(acc.max(axis=0), starts)
-        both = np.maximum(bound[rest, None], exit_bound[rest])        # (rest, blocks)
-        both[forced[rest]] = -np.inf
-        split = np.count_nonzero(both < block_max, axis=0) @ (r * widths + CALL_COST)
-        if split >= whole:
-            _scan(acc, tmp, Dz, M, rest, bound[rest])
-            return
-        for b, (a, w) in enumerate(zip(starts, widths)):
-            blk = acc[:, a:a + w].copy()
-            sub = np.argsort(both[:, b], kind="stable")
-            _scan(blk, np.empty_like(blk), Dz, M[:, a:a + w], rest[sub], both[sub, b])
-            acc[:, a:a + w] = blk
+        DT = np.ascontiguousarray(D[rows].T)                         # (n, rows)
+        entry = DT.min(axis=1)
+        buf = np.empty((BATCH, DT.shape[1], CELL_COLS))
+        for b, a in enumerate(starts):
+            Mc = M[:, a:a + CELL_COLS]
+            acc = out[rows, a:a + CELL_COLS]
+            acc.fill(np.inf)
+            bound = np.maximum(entry, exit_bound[:, b])
+            bound[np.isnan(bound)] = -np.inf
+            order = np.argsort(bound, kind="stable")
+            for i in range(0, n, BATCH):
+                if bound[order[i]] >= acc.max():
+                    break
+                zs = order[i:i + BATCH]
+                cand = np.maximum(DT[zs, :, None], Mc[zs, None, :],
+                                  out=buf[:len(zs), :, :Mc.shape[1]])
+                np.minimum(acc, cand.min(axis=0), out=acc)
 
-    workers = min(threads, len(tiles))
+    workers = min(threads, len(bands))
     if workers <= 1:
-        for rows in tiles:
+        for rows in bands:
             fill(rows)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, tiles))
+            list(pool.map(fill, bands))
     return out
+
+
+def ordered_product(coords: np.ndarray | None, tg: np.ndarray,
+                    costs: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                    threads: int) -> np.ndarray:
+    """``bottleneck_product(*costs(tg))``, computed over ``tg`` in cell order.
+
+    ``costs(cols)`` returns the entry costs D (m, n) and exit minima M (n, m)
+    of the targets ``cols``.  Both are freed before the order is undone, one
+    axis at a time, so the undo holds at most two (m, m) arrays at once.
+    """
+    perm = cell_order(coords, tg)
+    D, M = costs(tg[perm])
+    L = bottleneck_product(D, M, threads)
+    del D, M
+    if not np.array_equal(perm, np.arange(len(tg))):
+        inv = np.argsort(perm)
+        L = L.take(inv, axis=0)
+        L = L.take(inv, axis=1)
+    return L
 
 
 def level_matrix(system: MapSystem, targets: Iterable[int] | None = None,
@@ -312,16 +331,20 @@ def level_matrix(system: MapSystem, targets: Iterable[int] | None = None,
     """Pairwise link levels over the requested samples (all by default).
 
     Entry samples z always range over the full sample set regardless of the
-    target subset.  Row tiles may be computed in parallel; the result does not
+    target subset.  Row bands may be computed in parallel; the result does not
     depend on the thread count.
     """
     n = system.n
     if n == 0:
         raise ValueError("empty sample set")
     tg = target_indices(n, targets)
-    D = entry_cost_rows(system, tg)                                # (m, n)
-    M = exit_min_matrix(system, tg, method, entry_costs=D)         # (n, m)
-    return LevelMatrix(levels=bottleneck_product(D, M, threads), targets=tg,
+
+    def costs(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        D = entry_cost_rows(system, cols)                          # (m, n)
+        return D, exit_min_matrix(system, cols, method, entry_costs=D)
+
+    levels = ordered_product(system.space.coords, tg, costs, threads)
+    return LevelMatrix(levels=levels, targets=tg,
                        horizon=system.horizon, spacing=system.spacing, kind="map",
                        meta={"name": system.name, "n": n})
 

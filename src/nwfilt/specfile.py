@@ -46,7 +46,10 @@ class LoadedSystem:
 
 
 def load_spec(path: str | Path) -> dict:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise SpecError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from None
     try:
         spec = json.loads(text)
     except json.JSONDecodeError as e:

@@ -7,6 +7,7 @@ import pytest
 
 from nwfilt.cli import main
 from nwfilt.core import ResourceLimitError
+from nwfilt.specfile import load_system
 
 
 def write_spec(tmp_path, name, payload):
@@ -287,6 +288,49 @@ class TestVerify:
         assert loaded.tau == 0.0
 
 
+class TestFileErrors:
+    """Unreadable specs and unwritable outputs exit 2 with one stderr line and
+    nothing on stdout; output paths are checked before the spec is loaded."""
+
+    @pytest.mark.parametrize("cmd", [["analyze"], ["detect"],
+                                     ["diagram", "--eps-max", "1", "--eps-step", "0.5"]])
+    def test_missing_or_unreadable_spec(self, tmp_path, capsys, cmd):
+        for spec in (tmp_path / "missing.json", tmp_path):     # absent, a directory
+            assert main([cmd[0], str(spec), *cmd[1:]]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and "cannot read" in captured.err
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", "{spec}", "--out", "{bad}"],
+        ["analyze", "{spec}", "--matrix-out", "{bad}"],
+        ["diagram", "{spec}", "--eps-max", "1", "--eps-step", "0.5", "--json", "{bad}"],
+        ["diagram", "{spec}", "--eps-max", "1", "--eps-step", "0.5", "--svg", "{bad}"],
+        ["detect", "{spec}", "--out", "{bad}"],
+    ])
+    def test_unwritable_output_exits_2_before_any_work(self, tmp_path, capsys,
+                                                       monkeypatch, args):
+        spec = f2_spec(tmp_path, h=0.25)
+        loads = []
+        monkeypatch.setattr("nwfilt.cli.load_system",
+                            lambda path: loads.append(path) or load_system(path))
+        for bad in (tmp_path / "missing" / "out", tmp_path):   # no such directory, a directory
+            argv = [a.replace("{spec}", spec).replace("{bad}", str(bad)) for a in args]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and "cannot write" in captured.err
+        assert loads == []
+
+    def test_unusable_failure_dump_directory(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for bad in (blocker, blocker / "dump"):
+            assert main(["verify", "--seeds", "1", "--dump-failures", str(bad)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+
+
 class TestBuiltinsReachable:
     def test_every_builtin_loads_from_a_plain_spec(self):
         from nwfilt.builtins import builtin, builtin_names
@@ -324,7 +368,7 @@ class TestDeterminism:
             assert captured.out == "" and "--threads" in captured.err
 
     def test_more_threads_than_tiles(self, tmp_path, capsys):
-        spec = f2_spec(tmp_path, h=0.02, box=(-1.0, 1.0))   # 101 samples: two row tiles
+        spec = f2_spec(tmp_path, h=0.02, box=(-1.0, 1.0))   # 101 samples: four row bands
         outs = []
         for threads in ("1", "16"):
             assert main(["detect", spec, "--threads", threads]) == 0

@@ -90,6 +90,23 @@ class TestFlowLinkLevels:
         assert np.all(m1 <= m2 + 1e-15) and np.all(m2 <= m5 + 1e-15)
 
 
+    def test_planar_flow_levels_in_cell_order(self):
+        # a rotation with decay on a 9 x 9 grid: 2-D targets are reordered
+        # into product cells and back
+        sys = build_flow_system(lambda z: np.stack([-z[:, 1] - 0.2 * z[:, 0],
+                                                    z[:, 0] - 0.2 * z[:, 1]], axis=1),
+                                box=[[-1, 1], [-1, 1]], spacing=0.25,
+                                dt=0.05, t_min=0.5, t_max=2.0)
+        rng = np.random.default_rng(0)
+        for targets in (None, np.sort(rng.choice(sys.n, 50, replace=False))):
+            got = flow_level_matrix(sys, targets=targets)
+            tg = got.targets
+            for i, j in rng.integers(0, len(tg), size=(60, 2)):
+                assert got.levels[i, j] == flow_link_level(sys, tg[i], tg[j])[0]
+            assert (flow_level_matrix(sys, targets=targets, threads=2).levels.tobytes()
+                    == got.levels.tobytes())
+
+
 class TestFlowLevels:
     def test_attracting_wedge(self, attracting):
         summ = summarize(flow_level_matrix(attracting), zero_tol=0.1)

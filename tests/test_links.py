@@ -6,9 +6,16 @@ from nwfilt.builtins import (build_builtin_flow, build_grid_system, builtin,
 from nwfilt.core import build_tabulated_system
 from nwfilt import links
 from nwfilt.flows import flow_exit_min
-from nwfilt.links import (bottleneck_product, entry_cost_rows, exit_min_matrix,
+from nwfilt.links import (bottleneck_product, cell_order, entry_cost_rows, exit_min_matrix,
                           horizon_stability, level_matrix, link_level,
                           reachable_set, recompute_witness_level)
+
+
+def euclid(a, b):
+    """The engine's Euclidean arithmetic: |a - b| in 1-D, sqrt of squared sums
+    otherwise (np.linalg.norm can differ in the last bit)."""
+    diff = a - b
+    return abs(diff[0]) if len(diff) == 1 else np.sqrt(np.sum(diff * diff))
 
 
 def brute_pair_level(system, x, y):
@@ -20,13 +27,13 @@ def brute_pair_level(system, x, y):
         if use_matrix:
             entry = system.space.matrix[x, z]
         else:
-            entry = np.linalg.norm(coords[x] - coords[z])
+            entry = euclid(coords[x], coords[z])
         pts = None if use_matrix else system.orbit_points(z)
         for k in range(system.horizon):
             if use_matrix:
                 exit_ = system.space.matrix[system.orbit_table[z, k], y]
             else:
-                exit_ = np.linalg.norm(pts[k] - coords[y])
+                exit_ = euclid(pts[k], coords[y])
             best = min(best, max(entry, exit_))
     return best
 
@@ -55,26 +62,27 @@ def product_inputs(name):
     return entry_cost_rows(sys, tg), exit_min_matrix(sys, tg)
 
 
-def traced_product(monkeypatch, D, M, threads, call_cost):
-    """The product with CALL_COST patched, and the column widths it scanned at."""
-    widths = set()
-    scan = links._scan
-
-    def recording(acc, tmp, Dz, Mv, zs, bounds):
-        widths.add(Mv.shape[1])
-        scan(acc, tmp, Dz, Mv, zs, bounds)
-
-    monkeypatch.setattr(links, "CALL_COST", call_cost)
-    monkeypatch.setattr(links, "_scan", recording)
-    out = bottleneck_product(D, M, threads)
-    monkeypatch.undo()
-    return out, widths
+# (CELL_ROWS, CELL_COLS, BATCH): one-entry cells, partial cells with short
+# batches, and the defaults.  Small cells run a Python loop per cell, so they
+# run at one thread, and one-entry cells only up to ONE_ENTRY_MAX outputs.
+SMALL_CELLS = [(1, 1, 1), (3, 5, 2)]
+ONE_ENTRY_MAX = 20_000
 
 
-# Extreme call costs force each finishing path wherever the blocks together
-# would visit more entry samples than the whole width: a huge cost keeps the
-# whole width, a hugely negative one splits.
-FORCE_WHOLE, FORCE_SPLIT = 10**12, -10**12
+def assert_product_matches(monkeypatch, D, M, want=None):
+    """The product equals the full scan bit for bit: with small cells, and with
+    the default cells at threads 1, 2 and 3."""
+    want = brute_product(D, M).tobytes() if want is None else want
+    for rows, cols, batch in SMALL_CELLS:
+        if rows * cols == 1 and D.shape[0] * M.shape[1] > ONE_ENTRY_MAX:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(links, "CELL_ROWS", rows)
+            patch.setattr(links, "CELL_COLS", cols)
+            patch.setattr(links, "BATCH", batch)
+            assert bottleneck_product(D, M, 1).tobytes() == want
+    for threads in (1, 2, 3):
+        assert bottleneck_product(D, M, threads).tobytes() == want
 
 
 @pytest.fixture(scope="module")
@@ -231,25 +239,21 @@ class TestDeterminismAndMethods:
 
 class TestBottleneckProduct:
     @pytest.mark.parametrize("name", builtin_names())
-    def test_builtins_bit_identical_to_full_scan(self, name):
+    def test_builtins_bit_identical_to_full_scan(self, monkeypatch, name):
         D, M = product_inputs(name)
-        want = brute_product(D, M).tobytes()
-        for threads in (1, 2, 3):
-            assert bottleneck_product(D, M, threads).tobytes() == want
+        assert_product_matches(monkeypatch, D, M)
 
     @pytest.mark.parametrize("m", [1, 5, 7, 64, 130])
-    def test_random_asymmetric_tables_with_inf(self, m):
+    def test_random_asymmetric_tables_with_inf(self, monkeypatch, m):
         rng = np.random.default_rng(m)
         for n in (1, 3, 70):
             D = rng.uniform(0.0, 2.0, (m, n))
             M = rng.choice([0.0, 0.5, 1.0, 1.5], (n, m)) + rng.uniform(0.0, 1e-3, (n, m))
             D[rng.random((m, n)) < 0.2] = np.inf
             M[rng.random((n, m)) < 0.3] = np.inf
-            want = brute_product(D, M).tobytes()
-            for threads in (1, 2, 3):
-                assert bottleneck_product(D, M, threads).tobytes() == want
+            assert_product_matches(monkeypatch, D, M)
 
-    def test_nan_entries_are_never_skipped(self):
+    def test_nan_entries_are_never_skipped(self, monkeypatch):
         rng = np.random.default_rng(7)
         m, n = 100, 90
         D = rng.uniform(0.0, 1.0, (m, n))
@@ -260,10 +264,11 @@ class TestBottleneckProduct:
         D[71, 60] = np.nan
         want = brute_product(D, M)
         assert np.isnan(want[:, 3]).all() and np.isnan(want[71]).all()
-        for threads in (1, 2, 3):
-            np.testing.assert_array_equal(bottleneck_product(D, M, threads), want)
+        assert_product_matches(monkeypatch, D, M, want.tobytes())
 
     def test_nan_entries_are_never_skipped_in_split_tiles(self, monkeypatch):
+        """Banded input, where most cells stop early, with NaN samples that sort
+        last by their other costs."""
         rng = np.random.default_rng(8)
         m, n = 300, 260
         x = np.sort(rng.uniform(-1.0, 1.0, m))
@@ -276,18 +281,16 @@ class TestBottleneckProduct:
         D[201, 60] = np.nan
         M[60:62] += 5.0
         M[61, 7] = np.nan
-        M[:16, 5] = np.nan     # fills the warm-up, so 60 is forced in after it
+        M[:16, 5] = np.nan     # a full batch of NaN samples ahead of 60
         want = brute_product(D, M)
         assert np.isnan(want[:, 290]).all() and np.isnan(want[201]).all()
         assert np.isnan(want[:, [5, 7]]).all()
-        for cost in (links.CALL_COST, FORCE_SPLIT):
-            for threads in (1, 2, 3):
-                got, widths = traced_product(monkeypatch, D, M, threads, cost)
-                np.testing.assert_array_equal(got, want)
-                assert min(widths) < m or cost != FORCE_SPLIT
+        assert_product_matches(monkeypatch, D, M, want.tobytes())
 
     @pytest.mark.parametrize("m, n", [(100, 100), (300, 300), (257, 90), (129, 400)])
     def test_partial_blocks_on_both_paths(self, monkeypatch, m, n):
+        """Partial cells at the bottom and right edges, on dense input (little
+        pruning) and on banded input (much pruning)."""
         rng = np.random.default_rng(m + n)
         dense = (rng.uniform(0.0, 1.0, (m, n)), rng.uniform(0.0, 1.0, (n, m)))
         x = np.sort(rng.uniform(-1.0, 1.0, m))
@@ -295,15 +298,8 @@ class TestBottleneckProduct:
         orbit = p[:, None] * rng.uniform(-2.0, 2.0, (1, 3))
         banded = (np.abs(x[:, None] - p[None, :]),
                   np.abs(orbit[:, :, None] - x[None, None, :]).min(axis=1))
-        seen = set()
         for D, M in (dense, banded):
-            want = brute_product(D, M).tobytes()
-            for cost in (links.CALL_COST, FORCE_WHOLE, FORCE_SPLIT):
-                for threads in (1, 2, 3):
-                    got, widths = traced_product(monkeypatch, D, M, threads, cost)
-                    assert got.tobytes() == want
-                    seen.add(min(widths) < m)
-        assert seen == ({True, False} if m > links.COL_BLOCK else {False})
+            assert_product_matches(monkeypatch, D, M)
 
     def test_target_subsets_split_and_match(self, monkeypatch):
         f2 = build_grid_system("f2", box=[[-3, 3]], spacing=0.01, horizon=16)
@@ -312,12 +308,7 @@ class TestBottleneckProduct:
         for sys, exit_min in ((f2, lambda tg: exit_min_matrix(f2, tg)),
                               (flow, lambda tg: flow_exit_min(flow, tg, flow.time_index(0.5)))):
             tg = np.arange(1, sys.n, 2)                 # m = 300 of n = 601 or 401
-            D, M = entry_cost_rows(sys, tg), exit_min(tg)
-            want = brute_product(D, M).tobytes()
-            for threads in (1, 2, 3):
-                got, widths = traced_product(monkeypatch, D, M, threads, links.CALL_COST)
-                assert got.tobytes() == want
-                assert min(widths) < len(tg)
+            assert_product_matches(monkeypatch, entry_cost_rows(sys, tg), exit_min(tg))
 
     def test_threads_below_one_rejected(self):
         with pytest.raises(ValueError, match="threads"):
@@ -335,6 +326,85 @@ class TestBottleneckProduct:
                 np.testing.assert_array_equal(
                     exit_min_matrix(sys, cols).tobytes(),
                     exit_min_matrix(sys, cols, method="scan").tobytes())
+
+
+def kd_leaves(pts, perm, a, b, rows):
+    """Leaves (a, b) of the split tree over positions [a, b) of ``perm``,
+    asserting that every split separates its halves along the widest axis."""
+    if b - a <= rows:
+        return [(a, b)]
+    p = pts[perm[a:b]]
+    axis = np.argmax(p.max(axis=0) - p.min(axis=0))
+    mid = a + (b - a + rows) // (2 * rows) * rows
+    assert a < mid < b
+    assert pts[perm[a:mid], axis].max() <= pts[perm[mid:b], axis].min()
+    return kd_leaves(pts, perm, a, mid, rows) + kd_leaves(pts, perm, mid, b, rows)
+
+
+class TestCellOrder:
+    @pytest.mark.parametrize("m", [1, 31, 32, 33, 100, 257])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_leaves_are_row_bands_of_a_kd_split(self, m, d):
+        rng = np.random.default_rng(m * d)
+        coords = rng.uniform(-1.0, 1.0, (m + 20, d))
+        coords[:10] = coords[10:20]                 # duplicate points tie on every axis
+        tg = np.sort(rng.choice(m + 20, m, replace=False))
+        perm = cell_order(coords, tg)
+        np.testing.assert_array_equal(np.sort(perm), np.arange(m))
+        leaves = kd_leaves(coords[tg], perm, 0, m, links.CELL_ROWS)
+        assert [a for a, _ in leaves] == list(range(0, m, links.CELL_ROWS))
+        assert all(b - a <= links.CELL_ROWS for a, b in leaves)
+
+    def test_identity_for_sorted_1d_targets_and_without_coordinates(self):
+        coords = np.repeat(np.linspace(-1.0, 1.0, 150), 2)[:, None]   # ties included
+        for tg in (np.arange(300), np.arange(0, 300, 7)):
+            np.testing.assert_array_equal(cell_order(coords, tg), np.arange(len(tg)))
+            np.testing.assert_array_equal(cell_order(None, tg), np.arange(len(tg)))
+
+    def test_two_dimensional_targets_are_reordered(self):
+        sys = counterexample_tail(12, 10)
+        perm = cell_order(sys.space.coords, np.arange(sys.n))
+        assert not np.array_equal(perm, np.arange(sys.n))
+
+
+class TestLevelMatrixInCellOrder:
+    """level_matrix permutes the targets into cell order and back."""
+
+    @staticmethod
+    def check(system, targets, pairs, rng):
+        tg = np.arange(system.n) if targets is None else np.asarray(targets)
+        got = level_matrix(system, targets)
+        np.testing.assert_array_equal(got.targets, tg)
+        D = entry_cost_rows(system, tg)
+        want = brute_product(D, exit_min_matrix(system, tg, entry_costs=D))
+        assert got.levels.tobytes() == want.tobytes()
+        for i, j in rng.integers(0, len(tg), size=(pairs, 2)):
+            assert got.levels[i, j] == brute_pair_level(system, tg[i], tg[j])
+        for threads in (2, 3):
+            again = level_matrix(system, targets, threads=threads)
+            assert again.levels.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_2d_clouds(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        n = 90
+        sys = build_tabulated_system(rng.integers(0, n, size=n), horizon=5,
+                                     coords=rng.uniform(-1.0, 1.0, (n, 2)))
+        self.check(sys, None, 60, rng)
+        monkeypatch.setattr(links, "CELL_ROWS", 4)
+        monkeypatch.setattr(links, "CELL_COLS", 8)
+        self.check(sys, None, 60, rng)
+
+    def test_tail_target_subsets(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        sys = counterexample_tail(10, 8)            # n = 82
+        for targets in (None, np.sort(rng.choice(sys.n, 45, replace=False))):
+            self.check(sys, targets, 40, rng)
+            with monkeypatch.context() as patch:
+                patch.setattr(links, "CELL_ROWS", 3)
+                patch.setattr(links, "CELL_COLS", 5)
+                patch.setattr(links, "BATCH", 2)
+                self.check(sys, targets, 20, rng)
 
 
 class TestInfiniteCosts:
