@@ -42,6 +42,7 @@ EXIT_NONE = 1
 EXIT_SPEC = 2
 EXIT_RESOURCE = 3
 MAX_BUDGETS = 10_000   # diagram budgets from --eps-min to --eps-max, the gate before any work
+HORIZON_CHECK_CAP = 2048   # largest n for which analyze runs the horizon check
 
 
 def _matrix_and_summary(loaded: LoadedSystem, threads: int):
@@ -93,10 +94,12 @@ def cmd_analyze(args) -> int:
     if loaded.kind == "map":
         _diag(f"{loaded.name}: n={loaded.system.n} h={meta.get('h')} "
               f"n_max={loaded.system.horizon} tau={loaded.tau:.9g}")
-        if loaded.system.n <= 2048:
+        if loaded.system.n <= HORIZON_CHECK_CAP:
             rep = horizon_stability(loaded.system, threads=args.threads, full=matrix)
             state = "stable" if rep.stable else f"{rep.changed_pairs} pairs changed (max {rep.max_change:.3g})"
             _diag(f"horizon check at n_max={rep.reduced_horizon}: {state}")
+        else:
+            _diag(f"horizon check skipped: n={loaded.system.n} > {HORIZON_CHECK_CAP}")
     else:
         hz = meta["horizon"]
         _diag(f"{loaded.name}: n={loaded.system.n} h={meta.get('h')} dt={hz['dt']} "

@@ -29,11 +29,20 @@ from typing import Callable, Sequence
 import numpy as np
 
 DEFAULT_MAX_SAMPLES = 200_000
+MAX_STORE_BYTES = 1 << 30   # orbit store or flow trajectory, priced before it is allocated
 COST_ROW_CHUNK = 64
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a requested construction exceeds the configured sample cap."""
+    """Raised when a requested construction exceeds a configured cap."""
+
+
+def check_store_size(nbytes: float, what: str, hint: str) -> None:
+    """Raise ResourceLimitError when ``nbytes`` exceeds ``MAX_STORE_BYTES``."""
+    if nbytes > MAX_STORE_BYTES:
+        raise ResourceLimitError(
+            f"{what} would take {nbytes / 2**20:.4g} MiB, cap is "
+            f"{MAX_STORE_BYTES / 2**20:.4g} MiB; {hint}")
 
 
 class Branch(enum.Enum):
@@ -355,6 +364,8 @@ def build_sampled_system(step_fn: Callable[[np.ndarray], np.ndarray],
         raise ValueError("horizon must be at least 1")
     pts = grid_points(box, spacing, max_samples=max_samples)
     n, d = pts.shape
+    check_store_size(n * horizon * d * 8, f"the orbit store ({n} samples x {horizon} iterates)",
+                     "lower horizon.n_max or use a coarser grid")
     orbits = np.empty((n, horizon, d), dtype=float)
     cur = pts
     with np.errstate(over="ignore"):
@@ -383,6 +394,8 @@ def build_tabulated_system(step_table: Sequence[int], horizon: int | None = None
     space = CostSpace(coords=coords, matrix=cost_matrix, **space_flags)
     if space.n != n:
         raise ValueError("map table length does not match the point count")
+    check_store_size(n * horizon * 8, f"the orbit table ({n} samples x {horizon} iterates)",
+                     "lower horizon.n_max")
     orbit = np.empty((n, horizon), dtype=np.int64)
     cur = table
     for k in range(horizon):

@@ -23,7 +23,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import CostSpace, DEFAULT_MAX_SAMPLES, grid_points, points_to_samples_cost
+from .core import (CostSpace, DEFAULT_MAX_SAMPLES, check_store_size, grid_points,
+                   points_to_samples_cost)
 from .links import LevelMatrix, nearest_exit_costs, ordered_product, target_indices
 
 
@@ -108,6 +109,12 @@ def build_flow_system(field_fn: Callable[[np.ndarray], np.ndarray],
                       max_samples: int = DEFAULT_MAX_SAMPLES) -> SemiflowSystem:
     """Sample a box, integrate every sample forward, and package the system."""
     pts = grid_points(box, spacing, max_samples=max_samples)
+    if dt > 0:
+        # integrate's store and its transposed copy below, each n x (steps+1) x d
+        steps = t_max / dt
+        check_store_size(2 * pts.size * (steps + 1) * 8,
+                         f"the trajectories ({pts.shape[0]} samples x {steps:.4g} steps)",
+                         "raise horizon.dt, lower horizon.t_max or use a coarser grid")
     traj = integrate(field_fn, pts, t_max, dt)      # (steps+1, n, d)
     traj = np.ascontiguousarray(np.swapaxes(traj, 0, 1))
     space = CostSpace(coords=pts, is_metric=True, is_non_degenerate=True)

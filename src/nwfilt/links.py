@@ -30,6 +30,7 @@ MATRIX_SIZE_CAP = 6000
 CELL_ROWS = 32       # target rows per product cell; row bands are split across threads
 CELL_COLS = 32       # target columns per product cell
 BATCH = 64           # entry samples a cell visits per numpy call
+GATHER_ROWS = 32     # samples per block of the tabulated exit-min gather
 
 
 @dataclass(frozen=True)
@@ -149,9 +150,13 @@ def exit_min_matrix(system: MapSystem, cols: np.ndarray, method: str = "auto",
             if entry_costs is None:
                 entry_costs = entry_cost_rows(system, cols)
             table = entry_costs.T
-        out = table[system.orbit_table[:, 0]]
-        for k in range(1, system.horizon):
-            np.minimum(out, table[system.orbit_table[:, k]], out=out)
+        out = np.empty((system.n, len(cols)))
+        for a in range(0, system.n, GATHER_ROWS):     # no (n, m) temporary per step
+            orbit = system.orbit_table[a:a + GATHER_ROWS]
+            block = out[a:a + GATHER_ROWS]
+            block[...] = table[orbit[:, 0]]
+            for k in range(1, system.horizon):
+                np.minimum(block, table[orbit[:, k]], out=block)
         return out
     return nearest_exit_costs(_exit_points(system), system.space.coords[cols], method)
 
@@ -378,6 +383,11 @@ def horizon_stability(system: MapSystem, targets: Iterable[int] | None = None,
     orbits, i.e. the horizon may be too short for the reported resolution.
     Pass the full-horizon ``full`` matrix when it is already built; its targets
     are then used.  A pair reachable only at the full horizon changes by inf.
+
+    Column j of the levels depends only on the entry costs and column j of the
+    exit minima, so only the columns whose half-horizon exit minima differ from
+    the full-horizon ones are recomputed; every other column of the half
+    matrix is that of ``full``.
     """
     if full is None:
         full = level_matrix(system, targets, threads=threads)
@@ -388,9 +398,22 @@ def horizon_stability(system: MapSystem, targets: Iterable[int] | None = None,
         half_sys = replace(system, horizon=h2, orbit_table=system.orbit_table[:, :h2])
     else:
         half_sys = replace(system, horizon=h2, orbit_coords=system.orbit_coords[:, :h2])
-    half = level_matrix(half_sys, full.targets, threads=threads)
-    changed = half.levels != full.levels
-    diff = np.abs(half.levels[changed] - full.levels[changed])
+    perm = cell_order(system.space.coords, full.targets)
+    cols = full.targets[perm]
+    D = entry_cost_rows(system, cols)
+    M_half = exit_min_matrix(half_sys, cols, entry_costs=D)
+    # XOR of the bit patterns, in place: signed zeros and NaN cannot alias,
+    # and no (n, m) mask is allocated
+    bits = exit_min_matrix(system, cols, entry_costs=D).view(np.int64)
+    moved = np.bitwise_xor(bits, M_half.view(np.int64), out=bits).any(axis=0)
+    del bits
+    M_half = M_half[:, moved]
+    L_moved = bottleneck_product(D, M_half, threads)
+    del D, M_half
+    half = full.levels.copy()
+    half[np.ix_(perm, perm[moved])] = L_moved
+    changed = half != full.levels
+    diff = np.abs(half[changed] - full.levels[changed])
     diff = diff[~np.isnan(diff)]
     max_change = float(diff.max()) if diff.size else 0.0
     return HorizonStabilityReport(system.horizon, h2, int(np.count_nonzero(changed)), max_change)

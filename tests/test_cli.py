@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from nwfilt import cli, core, flows
 from nwfilt.cli import main
 from nwfilt.core import ResourceLimitError
 from nwfilt.specfile import load_system
@@ -109,6 +110,56 @@ class TestAnalyze:
             err = capsys.readouterr().err
             assert f"horizon check at n_max={n_max // 2}: {want}\n" in err
             assert "Warning" not in err
+
+    def test_skipped_horizon_check_is_reported(self, tmp_path, capsys, monkeypatch):
+        spec = f2_spec(tmp_path)                         # n = 201
+        monkeypatch.setattr(cli, "HORIZON_CHECK_CAP", 200)
+        assert main(["analyze", spec]) == 0
+        err = capsys.readouterr().err
+        assert "horizon check skipped: n=201 > 200\n" in err
+        assert "horizon check at" not in err
+        monkeypatch.setattr(cli, "HORIZON_CHECK_CAP", 201)
+        assert main(["analyze", spec]) == 0
+        err = capsys.readouterr().err
+        assert "horizon check at n_max=32: " in err and "skipped" not in err
+
+    @pytest.mark.parametrize("kind, payload, price, hint", [
+        ("sampled", {"kind": "map", "source": {"builtin": "f2"},
+                     "grid": {"box": [[-2.0, 2.0]], "h": 0.01}, "horizon": {"n_max": 1000}},
+         401 * 1000 * 8, "horizon.n_max"),
+        ("table", {"kind": "map", "horizon": {"n_max": 5000},
+                   "source": {"table": {"points": [[0.1 * i] for i in range(100)],
+                                        "map": [(i + 1) % 100 for i in range(100)]}}},
+         100 * 5000 * 8, "horizon.n_max"),
+        ("flow", {"kind": "semiflow", "source": {"builtin": "flow_att"},
+                  "grid": {"box": [[-2.0, 2.0]], "h": 0.01},
+                  "horizon": {"dt": 0.01, "t_min": 1.0, "t_max": 5.0}},
+         2 * 401 * 501 * 8, "horizon.dt"),
+    ])
+    def test_orbit_store_priced_before_allocation(self, tmp_path, capsys, monkeypatch,
+                                                  kind, payload, price, hint):
+        def no_integration(*args):
+            raise AssertionError("integrated past the gate")
+
+        spec = write_spec(tmp_path, f"{kind}.json", payload)
+        monkeypatch.setattr(core, "MAX_STORE_BYTES", price - 1)
+        monkeypatch.setattr(flows, "integrate", no_integration)
+        assert main(["analyze", spec]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit: ") and hint in captured.err
+        assert captured.err.count("\n") == 1
+        monkeypatch.undo()
+        monkeypatch.setattr(core, "MAX_STORE_BYTES", price)
+        assert main(["analyze", spec]) == 0
+
+    def test_unbounded_flow_horizon_is_a_resource_limit(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "inf.json", {
+            "kind": "semiflow", "source": {"builtin": "flow_att"},
+            "horizon": {"dt": 0.01, "t_min": 1.0, "t_max": float("inf")}})
+        assert main(["analyze", spec]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "inf steps" in captured.err
 
     def test_unknown_builtin_params_rejected(self, tmp_path, capsys):
         for name, params in (("f2", {"bogus": 3}),

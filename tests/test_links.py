@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,10 @@ from nwfilt.builtins import (build_builtin_flow, build_grid_system, builtin,
 from nwfilt.core import build_tabulated_system
 from nwfilt import links
 from nwfilt.flows import flow_exit_min
-from nwfilt.links import (bottleneck_product, cell_order, entry_cost_rows, exit_min_matrix,
-                          horizon_stability, level_matrix, link_level,
-                          reachable_set, recompute_witness_level)
+from nwfilt.links import (HorizonStabilityReport, bottleneck_product, cell_order,
+                          entry_cost_rows, exit_min_matrix, horizon_stability,
+                          level_matrix, link_level, reachable_set,
+                          recompute_witness_level)
 
 
 def euclid(a, b):
@@ -315,17 +318,34 @@ class TestBottleneckProduct:
             bottleneck_product(np.zeros((2, 2)), np.zeros((2, 2)), threads=0)
 
     def test_tabulated_coordinate_exit_min_matches_scan(self):
+        """The gather works in blocks of GATHER_ROWS samples; n around the block
+        size checks the partial last block."""
         rng = np.random.default_rng(17)
         systems = [counterexample_tail(8, 6)]
-        for d in (1, 2, 3):
-            n = 12
-            systems.append(build_tabulated_system(rng.integers(0, n, size=n), horizon=7,
-                                                  coords=rng.uniform(-1, 1, (n, d))))
+        for n in (1, 12, 31, 32, 33, 65):
+            for d in (1, 2, 3):
+                for horizon in (1, 7):
+                    systems.append(build_tabulated_system(
+                        rng.integers(0, n, size=n), horizon=horizon,
+                        coords=rng.uniform(-1, 1, (n, d))))
         for sys in systems:
-            for cols in (np.arange(sys.n), np.array([0, 3, 5])):
+            for cols in (np.arange(sys.n), np.array([0, 3, 5]) % sys.n):
                 np.testing.assert_array_equal(
                     exit_min_matrix(sys, cols).tobytes(),
                     exit_min_matrix(sys, cols, method="scan").tobytes())
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("horizon", [1, 7])
+    def test_tabulated_cost_matrix_exit_min_matches_full_gather(self, n, horizon):
+        rng = np.random.default_rng(n * horizon)
+        cost = rng.uniform(0.1, 2.0, (n, n))
+        cost[rng.random((n, n)) < 0.3] = np.inf
+        np.fill_diagonal(cost, 0.0)
+        sys = build_tabulated_system(rng.integers(0, n, size=n), horizon=horizon,
+                                     cost_matrix=cost)
+        for cols in (np.arange(n), np.array([0, 3, 5]) % n):
+            want = cost[:, cols][sys.orbit_table].min(axis=1)
+            assert exit_min_matrix(sys, cols).tobytes() == want.tobytes()
 
 
 def kd_leaves(pts, perm, a, b, rows):
@@ -459,3 +479,104 @@ class TestHorizonStability:
         sys = build_tabulated_system([1, 2, 3, 0], horizon=2, cost_matrix=m)
         rep = horizon_stability(sys)
         assert not rep.stable and rep.changed_pairs > 0
+
+
+def half_horizon(system):
+    h2 = max(1, system.horizon // 2)
+    if system.is_tabulated:
+        return replace(system, horizon=h2, orbit_table=system.orbit_table[:, :h2])
+    return replace(system, horizon=h2, orbit_coords=system.orbit_coords[:, :h2])
+
+
+def whole_half_report(system, full):
+    """The reference check: the whole half-horizon matrix, compared in full."""
+    half_sys = half_horizon(system)
+    half = level_matrix(half_sys, full.targets).levels
+    changed = half != full.levels
+    diff = np.abs(half[changed] - full.levels[changed])
+    diff = diff[~np.isnan(diff)]
+    return HorizonStabilityReport(system.horizon, half_sys.horizon,
+                                  int(np.count_nonzero(changed)),
+                                  float(diff.max()) if diff.size else 0.0)
+
+
+def moved_share(system, tg):
+    """Share of target columns whose exit minima differ at half the horizon."""
+    return float(np.mean((exit_min_matrix(system, tg)
+                          != exit_min_matrix(half_horizon(system), tg)).any(axis=0)))
+
+
+def cost_table(n, horizon, seed, cycle=False):
+    rng = np.random.default_rng(seed)
+    cost = rng.uniform(0.1, 2.0, (n, n))
+    cost[rng.random((n, n)) < 0.3] = np.inf
+    np.fill_diagonal(cost, 0.0)
+    step = np.roll(np.arange(n), -1) if cycle else rng.integers(0, n, size=n)
+    return build_tabulated_system(step, horizon=horizon, cost_matrix=cost)
+
+
+def coordinate_table(n, d, horizon, seed):
+    rng = np.random.default_rng(seed)
+    return build_tabulated_system(rng.integers(0, n, size=n), horizon=horizon,
+                                  coords=rng.uniform(-1.0, 1.0, (n, d)))
+
+
+TAIL_SUBSET = np.sort(np.random.default_rng(4).choice(82, 45, replace=False))  # of tail(10, 8)
+
+# (system, targets, share of moved columns: "none", "some" or "all")
+MOVED_CASES = {
+    "f2": (lambda: build_grid_system("f2", box=[[-2, 2]], spacing=0.01, horizon=64),
+           None, "none"),
+    "f2_h1": (lambda: build_grid_system("f2", box=[[-2, 2]], spacing=0.05, horizon=1),
+              None, "none"),
+    "f2_h3": (lambda: build_grid_system("f2", box=[[-2, 2]], spacing=0.05, horizon=3),
+              None, "some"),
+    "f2_h2_subset": (lambda: build_grid_system("f2", box=[[-2, 2]], spacing=0.02, horizon=2),
+                     np.arange(3, 201, 4), "some"),
+    "tail": (lambda: counterexample_tail(10, 8), None, "some"),
+    "tail_subset": (lambda: counterexample_tail(10, 8), TAIL_SUBSET, "some"),
+    "tail_h1_subset": (lambda: counterexample_tail(10, 8, horizon=1), TAIL_SUBSET, "none"),
+    "tail_h5_subset": (lambda: counterexample_tail(10, 8, horizon=5), TAIL_SUBSET, "all"),
+    "cycle_inf_h12": (lambda: cost_table(12, 12, 0, cycle=True), None, "all"),
+    "cycle_inf_h31": (lambda: cost_table(40, 31, 1, cycle=True), None, "all"),
+}
+
+
+class TestHorizonMovedColumns:
+    """horizon_stability recomputes only the columns whose exit minima moved;
+    its report equals that of the whole half-horizon matrix."""
+
+    @staticmethod
+    def check(system, targets):
+        full = level_matrix(system, targets)
+        want = whole_half_report(system, full)
+        for threads in (1, 2, 3):
+            assert horizon_stability(system, threads=threads, full=full) == want
+        assert horizon_stability(system, targets) == want
+        return want
+
+    @pytest.mark.parametrize("case", sorted(MOVED_CASES))
+    def test_builtins_and_cost_tables(self, case):
+        build, targets, share = MOVED_CASES[case]
+        system = build()
+        tg = np.arange(system.n) if targets is None else targets
+        got = moved_share(system, tg)
+        assert {"none": got == 0.0, "some": 0.0 < got < 1.0, "all": got == 1.0}[share]
+        self.check(system, targets)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 5, 7, 31])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_coordinate_tables(self, monkeypatch, horizon, d):
+        system = coordinate_table(90, d, horizon, seed=horizon * d)
+        self.check(system, None)
+        self.check(system, np.arange(0, 90, 3))
+        monkeypatch.setattr(links, "CELL_ROWS", 4)
+        monkeypatch.setattr(links, "CELL_COLS", 8)
+        self.check(system, None)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 8, 31])
+    def test_random_cost_tables_with_inf(self, horizon):
+        for seed in range(3):
+            system = cost_table(40, horizon, seed)
+            self.check(system, None)
+            self.check(system, [1, 4, 9, 16, 25, 36])
