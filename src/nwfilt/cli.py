@@ -30,7 +30,7 @@ import numpy as np
 from .core import ExtendedLevel, Branch, ResourceLimitError
 from .filtration import diagram, summarize
 from .flows import IntegrationError, flow_level_matrix
-from .links import level_matrix, horizon_stability
+from .links import level_matrix
 from .export import (build_document, export_diagram_json, export_levels_csv,
                      render_svg)
 from .oracle import run_verification
@@ -45,9 +45,9 @@ MAX_BUDGETS = 10_000   # diagram budgets from --eps-min to --eps-max, the gate b
 HORIZON_CHECK_CAP = 2048   # largest n for which analyze runs the horizon check
 
 
-def _matrix_and_summary(loaded: LoadedSystem, threads: int):
+def _matrix_and_summary(loaded: LoadedSystem, threads: int, horizon_check: bool = False):
     if loaded.kind == "map":
-        matrix = level_matrix(loaded.system, threads=threads)
+        matrix = level_matrix(loaded.system, threads=threads, horizon_check=horizon_check)
     else:
         matrix = flow_level_matrix(loaded.system, threads=threads)
     return matrix, summarize(matrix, zero_tol=loaded.tau)
@@ -84,7 +84,8 @@ def _diag(msg: str) -> None:
 def cmd_analyze(args) -> int:
     _check_writable(args.out, args.matrix_out)
     loaded = load_system(args.spec)
-    matrix, summary = _matrix_and_summary(loaded, args.threads)
+    check = loaded.kind == "map" and loaded.system.n <= HORIZON_CHECK_CAP
+    matrix, summary = _matrix_and_summary(loaded, args.threads, check)
     if args.matrix_out:
         header = ",".join(str(int(t)) for t in matrix.targets)
         rows = "\n".join(",".join(f"{v:.9g}" for v in row) for row in matrix.levels)
@@ -94,8 +95,8 @@ def cmd_analyze(args) -> int:
     if loaded.kind == "map":
         _diag(f"{loaded.name}: n={loaded.system.n} h={meta.get('h')} "
               f"n_max={loaded.system.horizon} tau={loaded.tau:.9g}")
-        if loaded.system.n <= HORIZON_CHECK_CAP:
-            rep = horizon_stability(loaded.system, threads=args.threads, full=matrix)
+        if check:
+            rep = matrix.horizon_check
             state = "stable" if rep.stable else f"{rep.changed_pairs} pairs changed (max {rep.max_change:.3g})"
             _diag(f"horizon check at n_max={rep.reduced_horizon}: {state}")
         else:

@@ -30,6 +30,7 @@ import numpy as np
 
 DEFAULT_MAX_SAMPLES = 200_000
 MAX_STORE_BYTES = 1 << 30   # orbit store or flow trajectory, priced before it is allocated
+MAX_MATRIX_BYTES = 1 << 30  # cost arrays and levels of one level matrix, priced likewise
 COST_ROW_CHUNK = 64
 
 
@@ -37,12 +38,13 @@ class ResourceLimitError(RuntimeError):
     """Raised when a requested construction exceeds a configured cap."""
 
 
-def check_store_size(nbytes: float, what: str, hint: str) -> None:
-    """Raise ResourceLimitError when ``nbytes`` exceeds ``MAX_STORE_BYTES``."""
-    if nbytes > MAX_STORE_BYTES:
+def check_store_size(nbytes: float, what: str, hint: str, cap: int | None = None) -> None:
+    """Raise ResourceLimitError when ``nbytes`` exceeds ``cap`` (``MAX_STORE_BYTES``)."""
+    cap = MAX_STORE_BYTES if cap is None else cap
+    if nbytes > cap:
         raise ResourceLimitError(
             f"{what} would take {nbytes / 2**20:.4g} MiB, cap is "
-            f"{MAX_STORE_BYTES / 2**20:.4g} MiB; {hint}")
+            f"{cap / 2**20:.4g} MiB; {hint}")
 
 
 class Branch(enum.Enum):

@@ -160,11 +160,11 @@ def flow_level_matrix(system: SemiflowSystem, T: float | None = None,
     tg = target_indices(n, targets)
     coords = system.space.coords
 
-    def costs(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def costs(cols: np.ndarray) -> tuple:
         return (points_to_samples_cost(coords[cols], system.space),
-                flow_exit_min(system, cols, i_min))
+                flow_exit_min(system, cols, i_min), None)
 
-    return LevelMatrix(levels=ordered_product(coords, tg, costs, threads), targets=tg,
+    return LevelMatrix(levels=ordered_product(coords, tg, n, costs, threads)[0], targets=tg,
                        horizon=system.steps, spacing=system.spacing, kind="flow",
                        meta={"name": system.name, "n": n, "dt": system.dt,
                              "t_min": t, "t_max": system.t_max})

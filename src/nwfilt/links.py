@@ -19,12 +19,13 @@ smallest step count, then smallest entry-sample index, never by scheduling.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import MapSystem, ResourceLimitError, points_to_samples_cost
+from . import core
+from .core import MapSystem, ResourceLimitError, check_store_size, points_to_samples_cost
 
 MATRIX_SIZE_CAP = 6000
 CELL_ROWS = 32       # target rows per product cell; row bands are split across threads
@@ -48,6 +49,18 @@ class LinkWitness:
 
 
 @dataclass(frozen=True)
+class HorizonStabilityReport:
+    horizon: int
+    reduced_horizon: int
+    changed_pairs: int
+    max_change: float
+
+    @property
+    def stable(self) -> bool:
+        return self.changed_pairs == 0
+
+
+@dataclass(frozen=True)
 class LevelMatrix:
     """Pairwise minimal link levels over a target subset of samples."""
 
@@ -57,6 +70,7 @@ class LevelMatrix:
     spacing: float | None = None
     kind: str = "map"            # "map" or "flow"
     meta: dict = field(default_factory=dict)
+    horizon_check: HorizonStabilityReport | None = None   # set by level_matrix when asked
 
     @property
     def m(self) -> int:
@@ -94,12 +108,15 @@ def _exit_points(system: MapSystem) -> np.ndarray:
     return system.orbit_coords
 
 
-def nearest_exit_costs(cand: np.ndarray, targets: np.ndarray, method: str = "auto") -> np.ndarray:
+def nearest_exit_costs(cand: np.ndarray, targets: np.ndarray, method: str = "auto",
+                       half: int | None = None):
     """out[z, j] = min over k of the Euclidean distance from cand[z, k] to targets[j].
 
     ``cand`` holds raw exit points, (n, K, d); ``targets`` is (m, d).
     "indexed" keeps a sorted projection per row (1-D only), "scan" evaluates
-    every candidate; both minimize over the same floats.
+    every candidate; both minimize over the same floats.  With ``half``, returns
+    the pair (minima over the first ``half`` candidates, minima over all), both
+    from the same pass over the rows.
     """
     one_d = cand.shape[2] == 1
     if one_d:
@@ -108,15 +125,17 @@ def nearest_exit_costs(cand: np.ndarray, targets: np.ndarray, method: str = "aut
         method = "indexed" if one_d else "scan"
     if method == "indexed" and not one_d:
         raise ValueError("indexed nearest-iterate queries need 1-D coordinates")
-    out = np.empty((cand.shape[0], len(targets)))
+    stops = (cand.shape[1],) if half is None else (half, cand.shape[1])
+    outs = [np.empty((cand.shape[0], len(targets))) for _ in stops]
     if method == "indexed":
         t = targets[:, 0]
         for z in range(cand.shape[0]):
-            s = np.sort(cand[z])
-            pos = np.searchsorted(s, t)
-            left = np.abs(t - s[np.clip(pos - 1, 0, len(s) - 1)])
-            right = np.abs(s[np.clip(pos, 0, len(s) - 1)] - t)
-            out[z] = np.minimum(left, right)
+            for k, out in zip(stops, outs):     # NaN sorts last: one sort per prefix, no merge
+                s = np.sort(cand[z, :k])
+                pos = np.searchsorted(s, t)
+                left = np.abs(t - s[np.clip(pos - 1, 0, len(s) - 1)])
+                right = np.abs(s[np.clip(pos, 0, len(s) - 1)] - t)
+                out[z] = np.minimum(left, right)
     elif method == "scan":
         for z in range(cand.shape[0]):
             if one_d:
@@ -124,14 +143,15 @@ def nearest_exit_costs(cand: np.ndarray, targets: np.ndarray, method: str = "aut
             else:
                 diff = cand[z][:, None, :] - targets[None, :, :]
                 d = np.sqrt(np.sum(diff * diff, axis=2))
-            out[z] = d.min(axis=0)
+            for k, out in zip(stops, outs):
+                out[z] = d[:k].min(axis=0)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return out
+    return outs[0] if half is None else tuple(outs)
 
 
 def exit_min_matrix(system: MapSystem, cols: np.ndarray, method: str = "auto",
-                    entry_costs: np.ndarray | None = None) -> np.ndarray:
+                    entry_costs: np.ndarray | None = None, half: int | None = None):
     """M[z, j] = min over n of cost(f^n(z), cols[j]) for every sample z.
 
     ``method`` selects the nearest-iterate kernel: "scan" evaluates every
@@ -142,6 +162,8 @@ def exit_min_matrix(system: MapSystem, cols: np.ndarray, method: str = "auto",
     the Euclidean cost is bitwise symmetric; pass ``entry_costs`` (the
     ``entry_cost_rows(system, cols)`` block) to reuse it.  All methods produce
     identical floats, because they minimize over the same candidate values.
+    With ``half`` (1 <= half <= horizon), returns the pair (M over the first
+    ``half`` steps, M), the first taken in the same fold as the second.
     """
     if system.is_tabulated and (system.space.matrix is not None or method == "auto"):
         if system.space.matrix is not None:
@@ -150,15 +172,17 @@ def exit_min_matrix(system: MapSystem, cols: np.ndarray, method: str = "auto",
             if entry_costs is None:
                 entry_costs = entry_cost_rows(system, cols)
             table = entry_costs.T
-        out = np.empty((system.n, len(cols)))
+        stops = (system.horizon,) if half is None else (half, system.horizon)
+        outs = [np.empty((system.n, len(cols))) for _ in stops]
         for a in range(0, system.n, GATHER_ROWS):     # no (n, m) temporary per step
             orbit = system.orbit_table[a:a + GATHER_ROWS]
-            block = out[a:a + GATHER_ROWS]
-            block[...] = table[orbit[:, 0]]
-            for k in range(1, system.horizon):
-                np.minimum(block, table[orbit[:, k]], out=block)
-        return out
-    return nearest_exit_costs(_exit_points(system), system.space.coords[cols], method)
+            block = table[orbit[:, 0]]
+            for lo, hi, out in zip((1,) + stops, stops, outs):
+                for k in range(lo, hi):
+                    np.minimum(block, table[orbit[:, k]], out=block)
+                out[a:a + GATHER_ROWS] = block
+        return outs[0] if half is None else tuple(outs)
+    return nearest_exit_costs(_exit_points(system), system.space.coords[cols], method, half)
 
 
 def _pair_level_table(system: MapSystem, x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,7 +280,8 @@ def cell_order(coords: np.ndarray | None, tg: np.ndarray) -> np.ndarray:
     return perm
 
 
-def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1) -> np.ndarray:
+def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1,
+                       lower: np.ndarray | None = None) -> np.ndarray:
     """L[i, j] = min over z of max(D[i, z], M[z, j]), the (min, max) matrix product.
 
     The output goes in cells of ``CELL_ROWS`` x ``CELL_COLS``.  Every candidate
@@ -272,6 +297,12 @@ def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1) -> np.nda
     whole by one thread, so the output does not depend on the thread count.
     Targets that are close in space share cells and tighten the bounds; see
     ``cell_order``.
+
+    ``lower``, an (m, cols) array that the result is known to be at least,
+    lets a cell also stop once each of its entries is at or below the next
+    bound or equal to its ``lower`` entry.  That stop waits until the samples
+    of bound -inf are visited, since their NaN can replace an entry that
+    already equals its bound.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -289,12 +320,16 @@ def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1) -> np.nda
         for b, a in enumerate(starts):
             Mc = M[:, a:a + CELL_COLS]
             acc = out[rows, a:a + CELL_COLS]
+            lo = None if lower is None else lower[rows, a:a + CELL_COLS]
             acc.fill(np.inf)
             bound = np.maximum(entry, exit_bound[:, b])
             bound[np.isnan(bound)] = -np.inf
             order = np.argsort(bound, kind="stable")
             for i in range(0, n, BATCH):
-                if bound[order[i]] >= acc.max():
+                first = bound[order[i]]
+                # an entry equal to its lower bound is final, once no NaN can follow
+                live = True if lo is None or first == -np.inf else acc != lo
+                if first >= acc.max(where=live, initial=-np.inf):
                     break
                 zs = order[i:i + BATCH]
                 cand = np.maximum(DT[zs, :, None], Mc[zs, None, :],
@@ -311,47 +346,85 @@ def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1) -> np.nda
     return out
 
 
-def ordered_product(coords: np.ndarray | None, tg: np.ndarray,
-                    costs: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                    threads: int) -> np.ndarray:
-    """``bottleneck_product(*costs(tg))``, computed over ``tg`` in cell order.
+def ordered_product(coords: np.ndarray | None, tg: np.ndarray, n: int,
+                    costs: Callable[[np.ndarray], tuple], threads: int, half: bool = False,
+                    levels: np.ndarray | None = None) -> tuple[np.ndarray, tuple | None]:
+    """``bottleneck_product(D, M)`` over the targets ``tg``, computed in cell order.
 
-    ``costs(cols)`` returns the entry costs D (m, n) and exit minima M (n, m)
-    of the targets ``cols``.  Both are freed before the order is undone, one
-    axis at a time, so the undo holds at most two (m, m) arrays at once.
+    ``costs(cols)`` returns the entry costs D (m, n), exit minima M (n, m) and,
+    with ``half``, the half-horizon minima (else None) of the targets ``cols``;
+    they and the (m, m) levels are priced against ``core.MAX_MATRIX_BYTES``
+    first.  The costs are freed before the order is undone, one axis at a time,
+    so the undo holds at most two (m, m) arrays.  Prebuilt ``levels`` (in the
+    order of ``tg``) replace the product.  Returns the levels and, with
+    ``half``, the changed pairs and largest change at half the horizon.
     """
+    m = len(tg)
+    check_store_size(8 * m * ((3 if half else 2) * n + m),
+                     f"the level matrix of {m} targets over {n} samples",
+                     "use fewer targets or a coarser grid", cap=core.MAX_MATRIX_BYTES)
     perm = cell_order(coords, tg)
-    D, M = costs(tg[perm])
-    L = bottleneck_product(D, M, threads)
-    del D, M
+    D, M, M_half = costs(tg[perm])
+    if half:        # bit patterns: signed zeros and NaN cannot alias
+        moved = (M.view(np.int64) != M_half.view(np.int64)).any(axis=0)
+        M_half = M_half[:, moved]
+    L = bottleneck_product(D, M, threads) if levels is None else levels[np.ix_(perm, perm)]
+    del M
+    change = None
+    if half:
+        # Column j of the levels depends only on D and column j of the exit
+        # minima: the unmoved columns keep their floats and count as changed
+        # only where NaN.  The half-horizon minima are at least the full ones,
+        # so the half product stops at L.  A pair reachable only at the full
+        # horizon changes by inf.
+        idx, changed, top = np.flatnonzero(moved), 0, 0.0
+        for a in range(0, len(idx), 8 * CELL_COLS):   # whole cells: bounded temporaries
+            full = L[:, idx[a:a + 8 * CELL_COLS]]
+            short = bottleneck_product(D, M_half[:, a:a + 8 * CELL_COLS], threads, lower=full)
+            c = short != full
+            diff = np.abs(short[c] - full[c])
+            changed += np.count_nonzero(c) - np.count_nonzero(np.isnan(full))
+            top = max(top, np.max(diff, where=~np.isnan(diff), initial=0.0))
+        change = (int(changed + np.count_nonzero(np.isnan(L))), float(top))
+    del D, M_half
     if not np.array_equal(perm, np.arange(len(tg))):
         inv = np.argsort(perm)
         L = L.take(inv, axis=0)
         L = L.take(inv, axis=1)
-    return L
+    return L, change
+
+
+def _map_costs(system: MapSystem, method: str, h2: int | None):
+    """``costs`` of ``ordered_product`` for a map: D, M and, with ``h2``, M over h2 steps."""
+    def costs(cols: np.ndarray) -> tuple:
+        D = np.asfortranarray(entry_cost_rows(system, cols))   # the gather reads its columns
+        M = exit_min_matrix(system, cols, method, entry_costs=D, half=h2)
+        return (D, M, None) if h2 is None else (D, M[1], M[0])
+    return costs
 
 
 def level_matrix(system: MapSystem, targets: Iterable[int] | None = None,
-                 threads: int = 1, method: str = "auto") -> LevelMatrix:
+                 threads: int = 1, method: str = "auto",
+                 horizon_check: bool = False) -> LevelMatrix:
     """Pairwise link levels over the requested samples (all by default).
 
     Entry samples z always range over the full sample set regardless of the
     target subset.  Row bands may be computed in parallel; the result does not
-    depend on the thread count.
+    depend on the thread count.  With ``horizon_check``, the same pass (one D,
+    one fold of both horizons' exit minima) also runs ``horizon_stability`` and
+    stores its report in the matrix's ``horizon_check``.
     """
     n = system.n
     if n == 0:
         raise ValueError("empty sample set")
     tg = target_indices(n, targets)
-
-    def costs(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        D = entry_cost_rows(system, cols)                          # (m, n)
-        return D, exit_min_matrix(system, cols, method, entry_costs=D)
-
-    levels = ordered_product(system.space.coords, tg, costs, threads)
+    h2 = max(1, system.horizon // 2) if horizon_check else None
+    levels, change = ordered_product(system.space.coords, tg, n,
+                                     _map_costs(system, method, h2), threads, horizon_check)
+    report = None if change is None else HorizonStabilityReport(system.horizon, h2, *change)
     return LevelMatrix(levels=levels, targets=tg,
                        horizon=system.horizon, spacing=system.spacing, kind="map",
-                       meta={"name": system.name, "n": n})
+                       meta={"name": system.name, "n": n}, horizon_check=report)
 
 
 def reachable_set(matrix: LevelMatrix, x: int, eps: float) -> np.ndarray:
@@ -362,18 +435,6 @@ def reachable_set(matrix: LevelMatrix, x: int, eps: float) -> np.ndarray:
     return matrix.targets[row <= eps]
 
 
-@dataclass(frozen=True)
-class HorizonStabilityReport:
-    horizon: int
-    reduced_horizon: int
-    changed_pairs: int
-    max_change: float
-
-    @property
-    def stable(self) -> bool:
-        return self.changed_pairs == 0
-
-
 def horizon_stability(system: MapSystem, targets: Iterable[int] | None = None,
                       threads: int = 1,
                       full: LevelMatrix | None = None) -> HorizonStabilityReport:
@@ -382,38 +443,14 @@ def horizon_stability(system: MapSystem, targets: Iterable[int] | None = None,
     A nonzero change count means some level is still improving with longer
     orbits, i.e. the horizon may be too short for the reported resolution.
     Pass the full-horizon ``full`` matrix when it is already built; its targets
-    are then used.  A pair reachable only at the full horizon changes by inf.
-
-    Column j of the levels depends only on the entry costs and column j of the
-    exit minima, so only the columns whose half-horizon exit minima differ from
-    the full-horizon ones are recomputed; every other column of the half
-    matrix is that of ``full``.
+    are then used and its levels are not recomputed.  Only the columns whose
+    exit minima move at half the horizon are; see ``ordered_product``.
     """
     if full is None:
-        full = level_matrix(system, targets, threads=threads)
-    elif full.kind != "map" or full.horizon != system.horizon:
+        return level_matrix(system, targets, threads, horizon_check=True).horizon_check
+    if full.kind != "map" or full.horizon != system.horizon:
         raise ValueError("full matrix was not built at this system's horizon")
     h2 = max(1, system.horizon // 2)
-    if system.is_tabulated:
-        half_sys = replace(system, horizon=h2, orbit_table=system.orbit_table[:, :h2])
-    else:
-        half_sys = replace(system, horizon=h2, orbit_coords=system.orbit_coords[:, :h2])
-    perm = cell_order(system.space.coords, full.targets)
-    cols = full.targets[perm]
-    D = entry_cost_rows(system, cols)
-    M_half = exit_min_matrix(half_sys, cols, entry_costs=D)
-    # XOR of the bit patterns, in place: signed zeros and NaN cannot alias,
-    # and no (n, m) mask is allocated
-    bits = exit_min_matrix(system, cols, entry_costs=D).view(np.int64)
-    moved = np.bitwise_xor(bits, M_half.view(np.int64), out=bits).any(axis=0)
-    del bits
-    M_half = M_half[:, moved]
-    L_moved = bottleneck_product(D, M_half, threads)
-    del D, M_half
-    half = full.levels.copy()
-    half[np.ix_(perm, perm[moved])] = L_moved
-    changed = half != full.levels
-    diff = np.abs(half[changed] - full.levels[changed])
-    diff = diff[~np.isnan(diff)]
-    max_change = float(diff.max()) if diff.size else 0.0
-    return HorizonStabilityReport(system.horizon, h2, int(np.count_nonzero(changed)), max_change)
+    _, change = ordered_product(system.space.coords, full.targets, system.n,
+                                _map_costs(system, "auto", h2), threads, True, full.levels)
+    return HorizonStabilityReport(system.horizon, h2, *change)

@@ -5,9 +5,10 @@ import time
 import numpy as np
 import pytest
 
-from nwfilt import cli, core, flows
+from nwfilt import cli, core, flows, links
 from nwfilt.cli import main
 from nwfilt.core import ResourceLimitError
+from nwfilt.links import horizon_stability, level_matrix
 from nwfilt.specfile import load_system
 
 
@@ -110,6 +111,52 @@ class TestAnalyze:
             err = capsys.readouterr().err
             assert f"horizon check at n_max={n_max // 2}: {want}\n" in err
             assert "Warning" not in err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_horizon_line_matches_horizon_stability(self, tmp_path, capsys, threads):
+        """analyze runs the check in its level-matrix pass; the stderr line is the
+        one horizon_stability's report gives for the prebuilt matrix."""
+        spec = write_spec(tmp_path, "tail.json", {
+            "kind": "map", "source": {"builtin": "counterexample_tail",
+                                      "params": {"n_max": 10, "m_max": 8}}})
+        system = load_system(spec).system
+        rep = horizon_stability(system, full=level_matrix(system))
+        assert not rep.stable
+        want = (f"horizon check at n_max={rep.reduced_horizon}: {rep.changed_pairs} "
+                f"pairs changed (max {rep.max_change:.3g})\n")
+        assert main(["analyze", spec, "--threads", threads]) == 0
+        assert want in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd, arrays", [("analyze", 3), ("detect", 2), ("flow", 2)])
+    def test_level_arrays_priced_before_allocation(self, tmp_path, capsys, monkeypatch,
+                                                   cmd, arrays):
+        """D, M, the half-horizon M of analyze's check, and the levels, priced
+        against core.MAX_MATRIX_BYTES before any of them is allocated."""
+        def no_product(*args):
+            raise AssertionError("allocated past the gate")
+
+        if cmd == "flow":
+            spec = write_spec(tmp_path, "flow.json", {
+                "kind": "semiflow", "source": {"builtin": "flow_att"},
+                "grid": {"box": [[-1.0, 1.0]], "h": 0.02},
+                "horizon": {"dt": 0.05, "t_min": 0.5, "t_max": 2.0}})
+            argv = ["analyze", spec]
+        else:
+            spec = f2_spec(tmp_path)
+            argv = [cmd, spec]
+        n = load_system(spec).system.n
+        price = 8 * n * (arrays * n + n)
+        monkeypatch.setattr(core, "MAX_MATRIX_BYTES", price - 1)
+        monkeypatch.setattr(links, "cell_order", no_product)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit: ") and "coarser grid" in captured.err
+        assert captured.err.count("\n") == 1
+        monkeypatch.undo()
+        monkeypatch.setattr(core, "MAX_MATRIX_BYTES", price)
+        assert main(argv) == 0
+        assert capsys.readouterr().out
 
     def test_skipped_horizon_check_is_reported(self, tmp_path, capsys, monkeypatch):
         spec = f2_spec(tmp_path)                         # n = 201

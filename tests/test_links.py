@@ -5,8 +5,8 @@ import pytest
 
 from nwfilt.builtins import (build_builtin_flow, build_grid_system, builtin,
                              builtin_names, counterexample_tail)
-from nwfilt.core import build_tabulated_system
-from nwfilt import links
+from nwfilt.core import ResourceLimitError, build_sampled_system, build_tabulated_system
+from nwfilt import core, links
 from nwfilt.flows import flow_exit_min
 from nwfilt.links import (HorizonStabilityReport, bottleneck_product, cell_order,
                           entry_cost_rows, exit_min_matrix, horizon_stability,
@@ -72,9 +72,9 @@ SMALL_CELLS = [(1, 1, 1), (3, 5, 2)]
 ONE_ENTRY_MAX = 20_000
 
 
-def assert_product_matches(monkeypatch, D, M, want=None):
-    """The product equals the full scan bit for bit: with small cells, and with
-    the default cells at threads 1, 2 and 3."""
+def assert_product_matches(monkeypatch, D, M, want=None, lower=None):
+    """The product (stopping at ``lower``, if given) equals the full scan bit for
+    bit: with small cells, and with the default cells at threads 1, 2 and 3."""
     want = brute_product(D, M).tobytes() if want is None else want
     for rows, cols, batch in SMALL_CELLS:
         if rows * cols == 1 and D.shape[0] * M.shape[1] > ONE_ENTRY_MAX:
@@ -83,9 +83,9 @@ def assert_product_matches(monkeypatch, D, M, want=None):
             patch.setattr(links, "CELL_ROWS", rows)
             patch.setattr(links, "CELL_COLS", cols)
             patch.setattr(links, "BATCH", batch)
-            assert bottleneck_product(D, M, 1).tobytes() == want
+            assert bottleneck_product(D, M, 1, lower=lower).tobytes() == want
     for threads in (1, 2, 3):
-        assert bottleneck_product(D, M, threads).tobytes() == want
+        assert bottleneck_product(D, M, threads, lower=lower).tobytes() == want
 
 
 @pytest.fixture(scope="module")
@@ -427,6 +427,101 @@ class TestLevelMatrixInCellOrder:
                 self.check(sys, targets, 20, rng)
 
 
+class TestLowerBound:
+    """bottleneck_product(..., lower=L) may stop where the result reaches a known
+    lower bound, as the half-horizon product does at the full-horizon levels."""
+
+    @staticmethod
+    def half_and_full(m, n, seed):
+        """Entry costs, half-horizon exit minima with inf entries, and full-horizon
+        minima over a superset of candidates (hence no larger)."""
+        rng = np.random.default_rng(seed)
+        D = rng.uniform(0.0, 2.0, (m, n))
+        M_half = rng.choice([0.0, 0.5, 1.0, 1.5], (n, m)) + rng.uniform(0.0, 1e-3, (n, m))
+        D[rng.random((m, n)) < 0.2] = np.inf
+        M_half[rng.random((n, m)) < 0.3] = np.inf
+        late = np.where(rng.random((n, m)) < 0.1, rng.uniform(0.0, 2.0, (n, m)), np.inf)
+        return D, M_half, np.minimum(M_half, late)
+
+    @pytest.mark.parametrize("m, n", [(1, 3), (7, 70), (70, 150), (130, 90)])
+    def test_full_horizon_levels_as_the_bound(self, monkeypatch, m, n):
+        D, M_half, M_full = self.half_and_full(m, n, seed=m + n)
+        assert (M_full <= M_half).all()
+        lower = brute_product(D, M_full)
+        want = brute_product(D, M_half)
+        assert (want >= lower).all()
+        assert m == 1 or ((want == lower).any() and (want != lower).any())
+        assert_product_matches(monkeypatch, D, M_half, lower=lower)
+
+    def test_bound_equal_to_the_result_zero_or_inf(self, monkeypatch):
+        D, M, _ = self.half_and_full(70, 150, seed=3)
+        D[:40] = np.inf                     # rows no sample reaches: inf levels
+        want = brute_product(D, M)
+        assert np.isinf(want[:40]).all()
+        assert_product_matches(monkeypatch, D, M, lower=want)
+        assert_product_matches(monkeypatch, D, M, lower=np.zeros_like(want))
+        assert_product_matches(monkeypatch, D, M, lower=np.where(np.isinf(want), np.inf, 0.0))
+
+    def test_nan_samples_are_visited_before_the_bound_can_stop(self, monkeypatch):
+        """The indexed exit-min can be NaN at half the horizon and finite at the
+        full one (a NaN iterate sorts last).  On rows no sample reaches, the
+        whole cell starts equal to its inf bound; the NaN must still get in."""
+        D, M_half, M_full = self.half_and_full(70, 150, seed=4)
+        D[:40] = np.inf
+        M_half[:links.BATCH + 16, 5] = np.nan    # more than a batch of NaN-bound samples
+        M_half[100, 66] = np.nan
+        lower = brute_product(D, M_full)
+        want = brute_product(D, M_half)
+        assert np.isnan(want[:, [5, 66]]).all() and np.isfinite(lower[40:, [5, 66]]).all()
+        assert np.isinf(lower[:40]).all()
+        assert_product_matches(monkeypatch, D, M_half, want.tobytes(), lower=lower)
+
+
+class TestTwoHorizonExitMin:
+    """exit_min_matrix(..., half=h2) folds both horizons in one pass; each result
+    equals the exit minima of its own system bit for bit."""
+
+    @staticmethod
+    def check(system, methods=("auto",)):
+        h2 = max(1, system.horizon // 2)
+        for method in methods:
+            for cols in (np.arange(system.n), np.array([0, 3, 5]) % system.n):
+                got_half, got_full = exit_min_matrix(system, cols, method, half=h2)
+                want_half = exit_min_matrix(half_horizon(system), cols, method)
+                assert got_half.tobytes() == want_half.tobytes()
+                assert got_full.tobytes() == exit_min_matrix(system, cols, method).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("horizon", [1, 2, 7, 62])
+    def test_coordinate_and_cost_tables(self, n, horizon):
+        for d in (1, 2):
+            self.check(coordinate_table(n, d, horizon, seed=n + horizon + d),
+                       methods=("auto", "scan"))
+        self.check(cost_table(n, horizon, seed=n * horizon))
+
+    @pytest.mark.parametrize("horizon", [1, 2, 7, 62])
+    def test_sampled_grids(self, horizon):
+        line = build_grid_system("f2", box=[[-2, 2]], spacing=0.05, horizon=horizon)
+        self.check(line, methods=("auto", "indexed", "scan"))
+        plane = build_sampled_system(
+            lambda p: np.stack([np.sin(2.0 * p[:, 1]), 0.8 * p[:, 0]], axis=1),
+            box=[[-1, 1], [-1, 1]], spacing=0.25, horizon=horizon)
+        self.check(plane)
+
+    def test_nan_iterates_are_not_merged_across_the_split(self):
+        """Orbits that turn NaN late: a whole-row sort puts the NaN last and
+        finds a finite nearest iterate, where the late half alone gives NaN."""
+        system = build_sampled_system(lambda x: np.where(np.abs(x) < 0.15, np.nan, 0.5 * x),
+                                      box=[[-2, 2]], spacing=0.1, horizon=8)
+        assert np.isnan(system.orbit_coords[:, 4:]).any()
+        self.check(system, methods=("indexed", "scan"))
+        _, full = exit_min_matrix(system, np.arange(system.n), "indexed", half=4)
+        late = exit_min_matrix(replace(system, orbit_coords=system.orbit_coords[:, 4:], horizon=4),
+                               np.arange(system.n), "indexed")
+        merged = np.minimum(exit_min_matrix(half_horizon(system), np.arange(system.n), "indexed"), late)
+        assert (np.isnan(merged) & ~np.isnan(full)).any()
+
+
 class TestInfiniteCosts:
     def test_inf_is_absorbing_under_max(self):
         m = np.array([[0.0, np.inf], [np.inf, 0.0]])
@@ -501,9 +596,9 @@ def whole_half_report(system, full):
 
 
 def moved_share(system, tg):
-    """Share of target columns whose exit minima differ at half the horizon."""
-    return float(np.mean((exit_min_matrix(system, tg)
-                          != exit_min_matrix(half_horizon(system), tg)).any(axis=0)))
+    """Share of target columns whose exit minima differ, bit for bit, at half the horizon."""
+    return float(np.mean((exit_min_matrix(system, tg).view(np.int64)
+                          != exit_min_matrix(half_horizon(system), tg).view(np.int64)).any(axis=0)))
 
 
 def cost_table(n, horizon, seed, cycle=False):
@@ -519,6 +614,16 @@ def coordinate_table(n, d, horizon, seed):
     rng = np.random.default_rng(seed)
     return build_tabulated_system(rng.integers(0, n, size=n), horizon=horizon,
                                   coords=rng.uniform(-1.0, 1.0, (n, d)))
+
+
+def nan_orbit(horizon):
+    """x -> -x on a grid, except that x = -0.7 steps off the grid to 0.123,
+    whose next iterate is NaN: whole columns of levels are NaN, and at
+    horizon 6 none of them moves."""
+    return build_sampled_system(
+        lambda x: np.where(np.abs(x + 0.7) < 1e-6, 0.123,
+                           np.where(np.abs(x - 0.123) < 1e-6, np.nan, -x)),
+        box=[[-1, 1]], spacing=0.1, horizon=horizon)
 
 
 TAIL_SUBSET = np.sort(np.random.default_rng(4).choice(82, 45, replace=False))  # of tail(10, 8)
@@ -539,44 +644,73 @@ MOVED_CASES = {
     "tail_h5_subset": (lambda: counterexample_tail(10, 8, horizon=5), TAIL_SUBSET, "all"),
     "cycle_inf_h12": (lambda: cost_table(12, 12, 0, cycle=True), None, "all"),
     "cycle_inf_h31": (lambda: cost_table(40, 31, 1, cycle=True), None, "all"),
+    "nan_orbit_h3": (lambda: nan_orbit(3), None, "all"),
+    "nan_orbit_h4": (lambda: nan_orbit(4), None, "some"),
+    "nan_orbit_h6": (lambda: nan_orbit(6), None, "none"),
 }
 
 
 class TestHorizonMovedColumns:
-    """horizon_stability recomputes only the columns whose exit minima moved;
-    its report equals that of the whole half-horizon matrix."""
+    """horizon_stability recomputes only the columns whose exit minima moved, and
+    level_matrix(..., horizon_check=True) does so in the same pass as the levels;
+    both reports equal that of the whole half-horizon matrix, and the fused
+    pass's levels equal level_matrix's bit for bit."""
 
     @staticmethod
-    def check(system, targets):
+    def check(monkeypatch, system, targets):
         full = level_matrix(system, targets)
         want = whole_half_report(system, full)
+
+        def assert_fused(threads):
+            fused = level_matrix(system, targets, threads, horizon_check=True)
+            assert fused.levels.tobytes() == full.levels.tobytes()
+            assert fused.horizon_check == want
+
         for threads in (1, 2, 3):
             assert horizon_stability(system, threads=threads, full=full) == want
+            assert_fused(threads)
         assert horizon_stability(system, targets) == want
+        for batch in (1, 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(links, "BATCH", batch)
+                assert_fused(1)
         return want
 
     @pytest.mark.parametrize("case", sorted(MOVED_CASES))
-    def test_builtins_and_cost_tables(self, case):
+    def test_builtins_and_cost_tables(self, monkeypatch, case):
         build, targets, share = MOVED_CASES[case]
         system = build()
         tg = np.arange(system.n) if targets is None else targets
         got = moved_share(system, tg)
         assert {"none": got == 0.0, "some": 0.0 < got < 1.0, "all": got == 1.0}[share]
-        self.check(system, targets)
+        self.check(monkeypatch, system, targets)
 
     @pytest.mark.parametrize("horizon", [1, 2, 5, 7, 31])
     @pytest.mark.parametrize("d", [2, 3])
     def test_random_coordinate_tables(self, monkeypatch, horizon, d):
         system = coordinate_table(90, d, horizon, seed=horizon * d)
-        self.check(system, None)
-        self.check(system, np.arange(0, 90, 3))
+        self.check(monkeypatch, system, None)
+        self.check(monkeypatch, system, np.arange(0, 90, 3))
         monkeypatch.setattr(links, "CELL_ROWS", 4)
         monkeypatch.setattr(links, "CELL_COLS", 8)
-        self.check(system, None)
+        self.check(monkeypatch, system, None)
 
     @pytest.mark.parametrize("horizon", [1, 2, 3, 8, 31])
-    def test_random_cost_tables_with_inf(self, horizon):
+    def test_random_cost_tables_with_inf(self, monkeypatch, horizon):
         for seed in range(3):
             system = cost_table(40, horizon, seed)
-            self.check(system, None)
-            self.check(system, [1, 4, 9, 16, 25, 36])
+            self.check(monkeypatch, system, None)
+            self.check(monkeypatch, system, [1, 4, 9, 16, 25, 36])
+
+    def test_level_arrays_priced_before_allocation(self, monkeypatch, f2_small):
+        """D, M (and the half-horizon M in the fused pass) are (m, n) and the
+        levels (m, m): their bytes are priced against core.MAX_MATRIX_BYTES."""
+        tg = np.arange(0, f2_small.n, 8)
+        m, n = len(tg), f2_small.n
+        for check, arrays in ((False, 2), (True, 3)):
+            price = 8 * m * (arrays * n + m)
+            monkeypatch.setattr(core, "MAX_MATRIX_BYTES", price - 1)
+            with pytest.raises(ResourceLimitError, match="coarser grid"):
+                level_matrix(f2_small, tg, horizon_check=check)
+            monkeypatch.setattr(core, "MAX_MATRIX_BYTES", price)
+            level_matrix(f2_small, tg, horizon_check=check)
