@@ -17,8 +17,7 @@ from .filtration import (DiagramSlice, LevelSummary, critical_levels, diagram,
                          nw_level, omega_membership, omega_slice,
                          robustness_level, summarize)
 from .flows import (FlowLinkWitness, SemiflowSystem, build_flow_system,
-                    flow_level_matrix, flow_link_level, flow_nw_level,
-                    flow_robustness_level, integrate)
+                    flow_level_matrix, flow_link_level, integrate)
 from .wandering import WanderingCertificate, certify_point, find_wandering_certificates
 from .builtins import (BuiltinSystem, analytic_level, builtin, builtin_names,
                        build_builtin_flow, build_grid_system, counterexample_tail,

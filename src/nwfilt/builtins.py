@@ -261,8 +261,7 @@ def counterexample_tail(n_max: int, m_max: int,
         horizon = n_max + m_max + 2
     return build_tabulated_system(table, horizon=horizon,
                                   coords=np.asarray(coords, dtype=float),
-                                  name=TAIL_NAME, is_metric=True,
-                                  is_non_degenerate=True)
+                                  name=TAIL_NAME)
 
 
 def tail_start_index(system: MapSystem) -> int:

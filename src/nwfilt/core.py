@@ -23,7 +23,7 @@ threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -129,8 +129,6 @@ class CostSpace:
 
     coords: np.ndarray | None = None   # (n, d) float
     matrix: np.ndarray | None = None   # (n, n) float, zero diagonal
-    is_metric: bool = False
-    is_non_degenerate: bool = True
 
     def __post_init__(self):
         if self.coords is None and self.matrix is None:
@@ -316,14 +314,12 @@ class MapSystem:
 
     space: CostSpace
     horizon: int
-    step_fn: Callable[[np.ndarray], np.ndarray] | None = None
     step_table: np.ndarray | None = None         # (n,) int
     orbit_coords: np.ndarray | None = None       # (n, horizon, d) float
     orbit_table: np.ndarray | None = None        # (n, horizon) int
     spacing: float | None = None
     box: np.ndarray | None = None
     name: str = "system"
-    extra: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -374,16 +370,14 @@ def build_sampled_system(step_fn: Callable[[np.ndarray], np.ndarray],
         for k in range(horizon):
             cur = np.asarray(step_fn(cur), dtype=float).reshape(n, d)
             orbits[:, k, :] = cur
-    space = CostSpace(coords=pts, is_metric=True, is_non_degenerate=True)
-    return MapSystem(space=space, horizon=horizon, step_fn=step_fn,
-                     orbit_coords=orbits, spacing=spacing,
-                     box=np.asarray(box, dtype=float), name=name)
+    return MapSystem(space=CostSpace(coords=pts), horizon=horizon, orbit_coords=orbits,
+                     spacing=spacing, box=np.asarray(box, dtype=float), name=name)
 
 
 def build_tabulated_system(step_table: Sequence[int], horizon: int | None = None,
                            coords: np.ndarray | None = None,
                            cost_matrix: np.ndarray | None = None,
-                           name: str = "table", **space_flags) -> MapSystem:
+                           name: str = "table") -> MapSystem:
     """Tabulated system from an index map; orbit entries are exact indices."""
     table = np.asarray(step_table, dtype=np.int64)
     n = len(table)
@@ -393,7 +387,7 @@ def build_tabulated_system(step_table: Sequence[int], horizon: int | None = None
         horizon = max(2 * n, 1)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    space = CostSpace(coords=coords, matrix=cost_matrix, **space_flags)
+    space = CostSpace(coords=coords, matrix=cost_matrix)
     if space.n != n:
         raise ValueError("map table length does not match the point count")
     check_store_size(n * horizon * 8, f"the orbit table ({n} samples x {horizon} iterates)",

@@ -11,7 +11,7 @@ infinite one as "inf".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +88,6 @@ class DiagramDocument:
     spacing: float | None = None
     eps_label: str = "budget"
     state_label: str = "state"
-    extra: dict = field(default_factory=dict)
 
 
 def build_document(summary: LevelSummary, slices: list[DiagramSlice],

@@ -18,7 +18,7 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -71,7 +71,6 @@ class SemiflowSystem:
     """
 
     space: CostSpace
-    field_fn: Callable[[np.ndarray], np.ndarray]
     dt: float
     t_min: float
     t_max: float
@@ -79,7 +78,6 @@ class SemiflowSystem:
     spacing: float | None = None
     box: np.ndarray | None = None
     name: str = "semiflow"
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (0 < self.dt <= self.t_min <= self.t_max):
@@ -117,10 +115,9 @@ def build_flow_system(field_fn: Callable[[np.ndarray], np.ndarray],
                          "raise horizon.dt, lower horizon.t_max or use a coarser grid")
     traj = integrate(field_fn, pts, t_max, dt)      # (steps+1, n, d)
     traj = np.ascontiguousarray(np.swapaxes(traj, 0, 1))
-    space = CostSpace(coords=pts, is_metric=True, is_non_degenerate=True)
-    return SemiflowSystem(space=space, field_fn=field_fn, dt=dt, t_min=t_min,
-                          t_max=t_max, traj=traj, spacing=spacing,
-                          box=np.asarray(box, dtype=float), name=name)
+    return SemiflowSystem(space=CostSpace(coords=pts), dt=dt, t_min=t_min, t_max=t_max,
+                          traj=traj, spacing=spacing, box=np.asarray(box, dtype=float),
+                          name=name)
 
 
 @dataclass(frozen=True)
@@ -190,15 +187,3 @@ def flow_link_level(system: SemiflowSystem, x: int, y: int,
     wit = FlowLinkWitness(start_index=z, duration=(i_min + k) * system.dt,
                           start_cost=float(entry[z]), end_cost=float(exits[z, k]))
     return float(best), wit
-
-
-def flow_nw_level(system: SemiflowSystem, x: int, T: float | None = None) -> float:
-    """Recurrence level of sample x under the semiflow, at the largest duration floor."""
-    level, _ = flow_link_level(system, x, x, T)
-    return level
-
-
-def flow_robustness_level(matrix: LevelMatrix, x: int, zero_tol: float) -> float:
-    """Flow-side robustness level; same reduction as the map case."""
-    from .filtration import robustness_level
-    return robustness_level(matrix, x, zero_tol)

@@ -31,6 +31,7 @@ MATRIX_SIZE_CAP = 6000
 CELL_ROWS = 32       # target rows per product cell; row bands are split across threads
 CELL_COLS = 32       # target columns per product cell
 BATCH = 64           # entry samples a cell visits per numpy call
+WINDOW = 128         # bound-ordered samples a cell filters per numpy call, after its first batch
 GATHER_ROWS = 32     # samples per block of the tabulated exit-min gather
 
 
@@ -287,22 +288,29 @@ def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1,
     The output goes in cells of ``CELL_ROWS`` x ``CELL_COLS``.  Every candidate
     max(D[i, z], M[z, j]) of a cell is at least z's bound: the larger of the
     least entry cost D[i, z] over the cell's rows and the least exit cost
-    M[z, j] over its columns.  A cell visits z in ascending bound, ``BATCH``
-    samples per numpy call, and stops once the next batch's first bound
-    reaches the cell's maximum: every skipped candidate is at least that
-    bound, so it cannot lower any entry.  Min and max only select among the
-    input floats, so the result is bit-identical to the full scan over z.  A z
-    with a NaN among the cell's entry or exit costs gets the bound -inf and is
-    never skipped.  Rows are cut into bands of cells, and each band is computed
-    whole by one thread, so the output does not depend on the thread count.
-    Targets that are close in space share cells and tighten the bounds; see
-    ``cell_order``.
+    M[z, j] over its columns.  A cell visits z in ascending bound.  A z with a
+    NaN among the cell's entry or exit costs gets the bound -inf; the cell
+    visits these, and its first ``BATCH`` samples, whole.  After that, an
+    entry is live unless it is final: NaN (np.minimum keeps it) or equal to
+    its ``lower`` entry.  The cell stops once the next bound reaches its
+    largest live entry.  Otherwise it takes the next ``WINDOW`` samples, cut
+    at the first bound that reaches that maximum, and keeps a z only if some
+    row i has max(D[i, z], least exit cost of z) below row i's largest live
+    entry and some column j has max(M[z, j], least entry cost of z) below
+    column j's.  Both are lower bounds of z's candidates in that row or
+    column, and final entries count as -inf in the maxima, so a skipped z has
+    every candidate at or above each live entry it would have to beat; a NaN
+    entry must not hide the live entries of its row or column.  Min and max
+    only select among the input floats, so the result is bit-identical to the
+    full scan over z.  Rows are cut into bands of cells, and each band is
+    computed whole by one thread, so the output does not depend on the thread
+    count.  Targets that are close in space share cells and tighten the
+    bounds; see ``cell_order``.
 
-    ``lower``, an (m, cols) array that the result is known to be at least,
-    lets a cell also stop once each of its entries is at or below the next
-    bound or equal to its ``lower`` entry.  That stop waits until the samples
-    of bound -inf are visited, since their NaN can replace an entry that
-    already equals its bound.
+    ``lower`` is an (m, cols) array that the result is known to be at least,
+    as the full-horizon levels are for the half-horizon product.  Entries
+    equal to it are final only after the samples of bound -inf, since their
+    NaN can still replace such an entry.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -316,7 +324,7 @@ def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1,
     def fill(rows: slice) -> None:
         DT = np.ascontiguousarray(D[rows].T)                         # (n, rows)
         entry = DT.min(axis=1)
-        buf = np.empty((BATCH, DT.shape[1], CELL_COLS))
+        buf = np.empty((max(BATCH, WINDOW), DT.shape[1], CELL_COLS))
         for b, a in enumerate(starts):
             Mc = M[:, a:a + CELL_COLS]
             acc = out[rows, a:a + CELL_COLS]
@@ -325,16 +333,31 @@ def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1,
             bound = np.maximum(entry, exit_bound[:, b])
             bound[np.isnan(bound)] = -np.inf
             order = np.argsort(bound, kind="stable")
-            for i in range(0, n, BATCH):
-                first = bound[order[i]]
-                # an entry equal to its lower bound is final, once no NaN can follow
-                live = True if lo is None or first == -np.inf else acc != lo
-                if first >= acc.max(where=live, initial=-np.inf):
-                    break
-                zs = order[i:i + BATCH]
+            sorted_bound = bound[order]
+            i = 0
+            while i < n:
+                first = sorted_bound[i]
+                if first > -np.inf:
+                    # no NaN can follow: NaN entries and entries equal to their
+                    # lower bound are final, and count as -inf (fmax skips NaN)
+                    live = acc if lo is None else np.where(acc == lo, -np.inf, acc)
+                    top = np.fmax.reduce(live, axis=None, initial=-np.inf)
+                    if first >= top:
+                        break
+                if i == 0 or first == -np.inf:
+                    zs, i = order[i:i + BATCH], i + BATCH
+                else:
+                    stop = i + int(np.searchsorted(sorted_bound[i:i + WINDOW], top))
+                    zs, i = order[i:stop], stop
+                    # z can lower a live entry only if both of its bounds beat it
+                    keep = ((np.maximum(DT[zs], exit_bound[zs, b, None])
+                             < np.fmax.reduce(live, axis=1, initial=-np.inf)).any(axis=1)
+                            & (np.maximum(Mc[zs], entry[zs, None])
+                               < np.fmax.reduce(live, axis=0, initial=-np.inf)).any(axis=1))
+                    zs = zs[keep]
                 cand = np.maximum(DT[zs, :, None], Mc[zs, None, :],
                                   out=buf[:len(zs), :, :Mc.shape[1]])
-                np.minimum(acc, cand.min(axis=0), out=acc)
+                np.minimum(acc, cand.min(axis=0, initial=np.inf), out=acc)
 
     workers = min(threads, len(bands))
     if workers <= 1:

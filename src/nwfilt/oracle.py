@@ -73,9 +73,7 @@ class FiniteInstance:
 
     def to_map_system(self):
         return build_tabulated_system(self.table, horizon=self.horizon,
-                                      cost_matrix=self.cost, name="instance",
-                                      is_non_degenerate=self.non_degenerate,
-                                      is_metric=False)
+                                      cost_matrix=self.cost, name="instance")
 
 
 def random_instance(seed: int, min_size: int = 2, max_size: int = 8) -> FiniteInstance:

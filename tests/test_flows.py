@@ -3,10 +3,9 @@ import pytest
 
 from nwfilt.builtins import build_builtin_flow
 from nwfilt.core import neg_level, pos_level
-from nwfilt.filtration import omega_slice, summarize
+from nwfilt.filtration import omega_slice, robustness_level, summarize
 from nwfilt.flows import (IntegrationError, build_flow_system, flow_level_matrix,
-                          flow_link_level, flow_nw_level, flow_robustness_level,
-                          integrate)
+                          flow_link_level, integrate)
 
 
 class TestIntegrate:
@@ -64,7 +63,7 @@ class TestFlowLinkLevels:
 
     def test_rest_point_is_free(self, repelling):
         i0 = repelling.index_of(0.0)
-        assert flow_nw_level(repelling, i0) == 0.0
+        assert flow_link_level(repelling, i0, i0)[0] == 0.0
 
     def test_decay_reaches_origin(self):
         sys = build_builtin_flow("flow_Z", box=[[-3, 3]], spacing=0.01,
@@ -122,13 +121,13 @@ class TestFlowLevels:
 
     def test_attracting_origin_fully_robust(self, attracting):
         m = flow_level_matrix(attracting)
-        assert flow_robustness_level(m, attracting.index_of(0.0), 0.1) == np.inf
+        assert robustness_level(m, attracting.index_of(0.0), 0.1) == np.inf
 
     def test_frozen_half_line_robustness(self):
         sys = build_builtin_flow("flow_rep", box=[[-3, 3]], spacing=0.02,
                                  dt=0.01, t_min=1.0, t_max=20.0)
         m = flow_level_matrix(sys)
-        b = flow_robustness_level(m, sys.index_of(-1.0), 0.04)
+        b = robustness_level(m, sys.index_of(-1.0), 0.04)
         assert abs(b - 1.0) <= 0.03
 
     def test_all_rest_field_is_fully_robust(self):
@@ -141,7 +140,7 @@ class TestFlowLevels:
     def test_translation_never_recurs(self):
         sys = build_builtin_flow("translation_flow", box=[[-5, 5]], spacing=0.1,
                                  dt=0.05, t_min=1.0, t_max=10.0)
-        lams = np.array([flow_nw_level(sys, i) for i in range(sys.n)])
+        lams = np.array([flow_link_level(sys, i, i)[0] for i in range(sys.n)])
         assert np.all(lams >= 0.4)
 
     def test_compact_zero_level_agreement(self):

@@ -65,10 +65,11 @@ def product_inputs(name):
     return entry_cost_rows(sys, tg), exit_min_matrix(sys, tg)
 
 
-# (CELL_ROWS, CELL_COLS, BATCH): one-entry cells, partial cells with short
-# batches, and the defaults.  Small cells run a Python loop per cell, so they
-# run at one thread, and one-entry cells only up to ONE_ENTRY_MAX outputs.
-SMALL_CELLS = [(1, 1, 1), (3, 5, 2)]
+# (CELL_ROWS, CELL_COLS, BATCH, WINDOW): one-entry cells, partial cells with
+# short batches and windows shorter than, equal to and longer than a batch,
+# and the defaults.  Small cells run a Python loop per cell, so they run at
+# one thread, and one-entry cells only up to ONE_ENTRY_MAX outputs.
+SMALL_CELLS = [(1, 1, 1, 1), (3, 5, 2, 3), (16, 12, 8, 5)]
 ONE_ENTRY_MAX = 20_000
 
 
@@ -76,13 +77,14 @@ def assert_product_matches(monkeypatch, D, M, want=None, lower=None):
     """The product (stopping at ``lower``, if given) equals the full scan bit for
     bit: with small cells, and with the default cells at threads 1, 2 and 3."""
     want = brute_product(D, M).tobytes() if want is None else want
-    for rows, cols, batch in SMALL_CELLS:
+    for rows, cols, batch, window in SMALL_CELLS:
         if rows * cols == 1 and D.shape[0] * M.shape[1] > ONE_ENTRY_MAX:
             continue
         with monkeypatch.context() as patch:
             patch.setattr(links, "CELL_ROWS", rows)
             patch.setattr(links, "CELL_COLS", cols)
             patch.setattr(links, "BATCH", batch)
+            patch.setattr(links, "WINDOW", window)
             assert bottleneck_product(D, M, 1, lower=lower).tobytes() == want
     for threads in (1, 2, 3):
         assert bottleneck_product(D, M, threads, lower=lower).tobytes() == want
@@ -424,6 +426,7 @@ class TestLevelMatrixInCellOrder:
                 patch.setattr(links, "CELL_ROWS", 3)
                 patch.setattr(links, "CELL_COLS", 5)
                 patch.setattr(links, "BATCH", 2)
+                patch.setattr(links, "WINDOW", 3)
                 self.check(sys, targets, 20, rng)
 
 
@@ -475,6 +478,83 @@ class TestLowerBound:
         assert np.isnan(want[:, [5, 66]]).all() and np.isfinite(lower[40:, [5, 66]]).all()
         assert np.isinf(lower[:40]).all()
         assert_product_matches(monkeypatch, D, M_half, want.tobytes(), lower=lower)
+
+
+def visited_samples(monkeypatch, D, M, lower=None):
+    """The product at the default cells and one thread, with the entry samples
+    it visits summed over its cells, counted from the candidate buffers that
+    its ``np.maximum(..., out=)`` calls fill."""
+    visited = [0]
+
+    class CountingMaximum:
+        def __getattr__(self, name):            # np.maximum.reduce and the like
+            return getattr(np.maximum, name)
+
+        def __call__(self, a, b, out=None):
+            if out is not None:
+                visited[0] += out.shape[0]
+            return np.maximum(a, b, out=out)
+
+    class CountingNumpy:
+        maximum = CountingMaximum()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(links, "np", CountingNumpy())
+        got = bottleneck_product(D, M, 1, lower=lower)
+    return got, visited[0]
+
+
+class TestWindowFilter:
+    """After its first batch, a cell visits only the samples of each window that
+    can lower one of its live entries: a NaN entry, or one equal to its lower
+    bound, is final and must not hide the live entries of its row or column."""
+
+    @staticmethod
+    def nan_row_and_empty_window():
+        """One cell of 4 x 5 targets.  Sample 0 has bound -inf (a NaN exit cost)
+        and makes column 2 NaN; the 63 samples of bound ~0.1 then set row 0 to
+        ~0.1 and rows 1-3 to ~1.  The 200 samples of bound ~0.2 lower nothing
+        (row 0 is lower, rows 1-3 pay entry cost 5), so the first window is
+        emptied; only the 50 samples of bound ~0.5 lower rows 1-3."""
+        rng = np.random.default_rng(11)
+        n, f, w, late = 314, slice(1, 64), slice(64, 264), slice(264, 314)
+        D, M = np.empty((4, n)), np.empty((n, 5))
+        D[:, 0], M[0] = 0.3, 3.0
+        M[0, 2] = np.nan
+        D[0, f], D[1:, f], M[f] = 0.1, 1.0, 0.1
+        D[0, w], D[1:, w], M[w] = 0.2, 5.0, 0.2
+        D[:, late], M[late] = 0.5, 0.5
+        D += rng.uniform(0.0, 1e-3, D.shape)
+        M += rng.uniform(0.0, 1e-3, M.shape)
+        perm = rng.permutation(n)                  # bound order is not index order
+        return D[:, perm], M[perm]
+
+    def test_nan_entry_does_not_hide_its_row(self, monkeypatch):
+        D, M = self.nan_row_and_empty_window()
+        want = brute_product(D, M)
+        assert np.isnan(want[:, 2]).all()
+        finite = np.delete(want, 2, axis=1)
+        assert (finite[0] < 0.2).all() and (finite[1:] > 0.5).all() and (finite[1:] < 0.6).all()
+        assert_product_matches(monkeypatch, D, M, want.tobytes())
+        got, visited = visited_samples(monkeypatch, D, M)
+        assert got.tobytes() == want.tobytes()
+        assert visited == links.BATCH + 50          # the first batch, then the late samples
+
+    @pytest.mark.parametrize("m, n", [(70, 150), (130, 300)])
+    def test_entries_at_their_lower_bound_are_final(self, monkeypatch, m, n):
+        """With the result itself as ``lower``, entries that reach it stop
+        counting, so the cells visit fewer samples than without it."""
+        rng = np.random.default_rng(m)
+        D = rng.uniform(0.0, 2.0, (m, n))
+        M = rng.uniform(0.0, 2.0, (n, m))
+        want = brute_product(D, M)
+        plain, visited_plain = visited_samples(monkeypatch, D, M)
+        bounded, visited_bounded = visited_samples(monkeypatch, D, M, lower=want)
+        assert plain.tobytes() == bounded.tobytes() == want.tobytes()
+        assert visited_bounded < visited_plain
 
 
 class TestTwoHorizonExitMin:
@@ -670,9 +750,10 @@ class TestHorizonMovedColumns:
             assert horizon_stability(system, threads=threads, full=full) == want
             assert_fused(threads)
         assert horizon_stability(system, targets) == want
-        for batch in (1, 2):
+        for batch, window in ((1, 2), (2, 1)):
             with monkeypatch.context() as patch:
                 patch.setattr(links, "BATCH", batch)
+                patch.setattr(links, "WINDOW", window)
                 assert_fused(1)
         return want
 
