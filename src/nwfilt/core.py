@@ -199,10 +199,23 @@ def points_to_samples_cost(points: np.ndarray, space: CostSpace) -> np.ndarray:
         pts = pts[:, None]
     if space.coords.shape[1] == 1:
         return np.abs(pts[:, 0][:, None] - space.coords[:, 0][None, :])
+    coords = space.coords
     out = np.empty((len(pts), space.n))
-    for i in range(0, len(pts), COST_ROW_CHUNK):   # bounds the (rows, n, d) temporaries
-        diff = pts[i:i + COST_ROW_CHUNK, None, :] - space.coords[None, :, :]
-        out[i:i + COST_ROW_CHUNK] = np.sqrt(np.sum(diff * diff, axis=2))
+    for i in range(0, len(pts), COST_ROW_CHUNK):   # bounds the temporaries
+        p, o = pts[i:i + COST_ROW_CHUNK], out[i:i + COST_ROW_CHUNK]
+        if coords.shape[1] < 8:
+            # np.sum adds fewer than 8 terms one at a time, in axis order: the
+            # same floats, from (rows, n) temporaries, about 4x faster in 2-D
+            np.subtract(p[:, None, 0], coords[None, :, 0], out=o)
+            o *= o
+            for k in range(1, coords.shape[1]):
+                t = p[:, None, k] - coords[None, :, k]
+                t *= t
+                o += t
+            np.sqrt(o, out=o)
+        else:
+            diff = p[:, None, :] - coords[None, :, :]
+            o[...] = np.sqrt(np.sum(diff * diff, axis=2))
     return out
 
 

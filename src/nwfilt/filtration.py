@@ -34,6 +34,8 @@ import numpy as np
 from .core import Branch, ExtendedLevel
 from .links import LevelMatrix
 
+SUMMARY_ROWS = 256   # level rows per band of summarize's beta reduction
+
 
 @dataclass(frozen=True)
 class LevelSummary:
@@ -78,11 +80,15 @@ def summarize(matrix: LevelMatrix, zero_tol: float) -> LevelSummary:
     L = matrix.levels
     m = matrix.m
     lam = np.diagonal(L).copy()
-    # beta candidates: returns strictly costlier than the excursion
-    with np.errstate(invalid="ignore"):
-        qualifying = L.T > L
-    excursions = np.where(qualifying, L, np.inf)
-    beta_all = excursions.min(axis=1)
+    # beta candidates: returns strictly costlier than the excursion.  Row bands
+    # bound the float temporary; each row's min is the same reduction as over
+    # the whole matrix (a masked min, ``where=``, can pick the other signed zero).
+    beta_all = np.empty(m)
+    for a in range(0, m, SUMMARY_ROWS):
+        rows = L[a:a + SUMMARY_ROWS]
+        with np.errstate(invalid="ignore"):
+            qualifying = L[:, a:a + SUMMARY_ROWS].T > rows
+        beta_all[a:a + SUMMARY_ROWS] = np.where(qualifying, rows, np.inf).min(axis=1)
     defined = lam <= zero_tol
     beta = np.where(defined, beta_all, np.nan)
     cheap = L <= zero_tol

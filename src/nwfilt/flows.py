@@ -25,7 +25,8 @@ import numpy as np
 
 from .core import (CostSpace, DEFAULT_MAX_SAMPLES, check_store_size, grid_points,
                    points_to_samples_cost)
-from .links import LevelMatrix, nearest_exit_costs, ordered_product, target_indices
+from .links import (EntryCostRows, LevelMatrix, nearest_exit_costs, ordered_product,
+                    target_indices)
 
 
 class IntegrationError(RuntimeError):
@@ -158,8 +159,7 @@ def flow_level_matrix(system: SemiflowSystem, T: float | None = None,
     coords = system.space.coords
 
     def costs(cols: np.ndarray) -> tuple:
-        return (points_to_samples_cost(coords[cols], system.space),
-                flow_exit_min(system, cols, i_min), None)
+        return EntryCostRows(system, cols), flow_exit_min(system, cols, i_min), None
 
     return LevelMatrix(levels=ordered_product(coords, tg, n, costs, threads)[0], targets=tg,
                        horizon=system.steps, spacing=system.spacing, kind="flow",

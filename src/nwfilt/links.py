@@ -102,6 +102,26 @@ def entry_cost_rows(system: MapSystem, rows: np.ndarray) -> np.ndarray:
     return points_to_samples_cost(system.space.coords[rows], system.space)
 
 
+@dataclass(frozen=True)
+class EntryCostRows:
+    """The entry costs ``entry_cost_rows(system, cols)`` as a row view.
+
+    ``D[rows]`` computes only the requested rows, so a product that reads D
+    one row band at a time never holds the whole (len(cols), n) array.  Any
+    system with a ``space`` works: maps and semiflows share this path.
+    """
+
+    system: object
+    cols: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.cols), self.system.space.n
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return entry_cost_rows(self.system, self.cols[rows])
+
+
 def _exit_points(system: MapSystem) -> np.ndarray:
     """Raw orbit coordinates per sample, shape (n, horizon, d)."""
     if system.is_tabulated:
@@ -134,9 +154,8 @@ def nearest_exit_costs(cand: np.ndarray, targets: np.ndarray, method: str = "aut
             for k, out in zip(stops, outs):     # NaN sorts last: one sort per prefix, no merge
                 s = np.sort(cand[z, :k])
                 pos = np.searchsorted(s, t)
-                left = np.abs(t - s[np.clip(pos - 1, 0, len(s) - 1)])
-                right = np.abs(s[np.clip(pos, 0, len(s) - 1)] - t)
-                out[z] = np.minimum(left, right)
+                sp = np.concatenate((s[:1], s, s[-1:]))    # padded ends: no clipping of pos
+                out[z] = np.minimum(np.abs(t - sp[pos]), np.abs(sp[pos + 1] - t))
     elif method == "scan":
         for z in range(cand.shape[0]):
             if one_d:
@@ -152,7 +171,7 @@ def nearest_exit_costs(cand: np.ndarray, targets: np.ndarray, method: str = "aut
 
 
 def exit_min_matrix(system: MapSystem, cols: np.ndarray, method: str = "auto",
-                    entry_costs: np.ndarray | None = None, half: int | None = None):
+                    half: int | None = None):
     """M[z, j] = min over n of cost(f^n(z), cols[j]) for every sample z.
 
     ``method`` selects the nearest-iterate kernel: "scan" evaluates every
@@ -160,8 +179,8 @@ def exit_min_matrix(system: MapSystem, cols: np.ndarray, method: str = "auto",
     (1-D coordinates only).  By default tabulated systems gather from the
     cost table C[p, j] = cost(p, cols[j]): min over k of C[orbit[z, k], j].
     With coordinates that table is the transposed entry-cost block, because
-    the Euclidean cost is bitwise symmetric; pass ``entry_costs`` (the
-    ``entry_cost_rows(system, cols)`` block) to reuse it.  All methods produce
+    the Euclidean cost is bitwise symmetric; it is built here, row-major so
+    the gather reads contiguous rows, and freed on return.  All methods produce
     identical floats, because they minimize over the same candidate values.
     With ``half`` (1 <= half <= horizon), returns the pair (M over the first
     ``half`` steps, M), the first taken in the same fold as the second.
@@ -170,9 +189,7 @@ def exit_min_matrix(system: MapSystem, cols: np.ndarray, method: str = "auto",
         if system.space.matrix is not None:
             table = system.space.matrix[:, cols]
         else:
-            if entry_costs is None:
-                entry_costs = entry_cost_rows(system, cols)
-            table = entry_costs.T
+            table = np.ascontiguousarray(entry_cost_rows(system, cols).T)
         stops = (system.horizon,) if half is None else (half, system.horizon)
         outs = [np.empty((system.n, len(cols))) for _ in stops]
         for a in range(0, system.n, GATHER_ROWS):     # no (n, m) temporary per step
@@ -285,6 +302,8 @@ def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1,
                        lower: np.ndarray | None = None) -> np.ndarray:
     """L[i, j] = min over z of max(D[i, z], M[z, j]), the (min, max) matrix product.
 
+    D is read only as ``D.shape`` and ``D[rows]``, once per band of rows, so it
+    may be an ``EntryCostRows`` view that computes each band's rows on demand.
     The output goes in cells of ``CELL_ROWS`` x ``CELL_COLS``.  Every candidate
     max(D[i, z], M[z, j]) of a cell is at least z's bound: the larger of the
     least entry cost D[i, z] over the cell's rows and the least exit cost
@@ -377,8 +396,15 @@ def ordered_product(coords: np.ndarray | None, tg: np.ndarray, n: int,
     ``costs(cols)`` returns the entry costs D (m, n), exit minima M (n, m) and,
     with ``half``, the half-horizon minima (else None) of the targets ``cols``;
     they and the (m, m) levels are priced against ``core.MAX_MATRIX_BYTES``
-    first.  The costs are freed before the order is undone, one axis at a time,
-    so the undo holds at most two (m, m) arrays.  Prebuilt ``levels`` (in the
+    first.  D may be an ``EntryCostRows`` view: the product then holds one
+    band's entry costs at a time, though the price still counts the whole D.
+    The half-horizon pass reuses the view, so it recomputes a band's entry
+    costs once per block of ``8 * CELL_COLS`` moved columns.  On the 30x30
+    tail (588 of 900 columns move: three blocks) D is computed five times,
+    the gather's cost table included, yet its analyze is no slower than with
+    D held whole, since 2-D costs are summed per axis (``BENCH_12.json``).
+    The costs are freed before the order is undone, one axis at a time, so
+    the undo holds at most two (m, m) arrays.  Prebuilt ``levels`` (in the
     order of ``tg``) replace the product.  Returns the levels and, with
     ``half``, the changed pairs and largest change at half the horizon.
     """
@@ -418,10 +444,11 @@ def ordered_product(coords: np.ndarray | None, tg: np.ndarray, n: int,
 
 
 def _map_costs(system: MapSystem, method: str, h2: int | None):
-    """``costs`` of ``ordered_product`` for a map: D, M and, with ``h2``, M over h2 steps."""
+    """``costs`` of ``ordered_product`` for a map: D as an ``EntryCostRows`` view,
+    M and, with ``h2``, M over h2 steps."""
     def costs(cols: np.ndarray) -> tuple:
-        D = np.asfortranarray(entry_cost_rows(system, cols))   # the gather reads its columns
-        M = exit_min_matrix(system, cols, method, entry_costs=D, half=h2)
+        D = EntryCostRows(system, cols)
+        M = exit_min_matrix(system, cols, method, half=h2)
         return (D, M, None) if h2 is None else (D, M[1], M[0])
     return costs
 

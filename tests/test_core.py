@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 
 from nwfilt.core import (Branch, CostSpace, ExtendedLevel, ResourceLimitError,
                          build_sampled_system, build_tabulated_system, compare_levels,
-                         grid_axis, grid_points, neg_level, pos_level,
-                         validate_cost_space)
+                         grid_axis, grid_points, neg_level, points_to_samples_cost,
+                         pos_level, validate_cost_space)
 
 
 def doubling(pts):
@@ -83,6 +83,21 @@ class TestGrid:
         assert len(grid_points([[0, 1]], 0.5, max_samples=3)) == 3
         with pytest.raises(ResourceLimitError):
             grid_points([[0, 1]], 0.5, max_samples=2)
+
+
+class TestPointsToSamplesCost:
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_same_floats_as_the_summed_squares(self, d):
+        # the scan kernel, the pair tables and the oracle square and np.sum
+        # the differences; every other cost must agree with them bit for bit
+        rng = np.random.default_rng(d)
+        coords = rng.standard_normal((150, d)) * rng.choice([1e-9, 1.0, 1e9], (150, d))
+        pts = rng.standard_normal((140, d)) * rng.choice([1e-9, 1.0, 1e9], (140, d))
+        pts[3, 0], pts[5, -1], pts[7] = np.nan, np.inf, coords[2]
+        diff = pts[:, None, :] - coords[None, :, :]
+        want = np.abs(diff[:, :, 0]) if d == 1 else np.sqrt(np.sum(diff * diff, axis=2))
+        space = CostSpace(coords=coords)
+        assert points_to_samples_cost(pts, space).tobytes() == want.tobytes()
 
 
 class TestTabulated:

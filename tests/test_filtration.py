@@ -6,7 +6,8 @@ from nwfilt.core import build_tabulated_system, neg_level, pos_level
 from nwfilt.filtration import (critical_levels, diagram, nw_level, omega_membership,
                                omega_slice, robustness_level, summarize,
                                coordinate_intervals)
-from nwfilt.links import level_matrix, link_level
+from nwfilt import filtration
+from nwfilt.links import LevelMatrix, level_matrix, link_level
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +220,24 @@ class TestStructuralLaws:
         # is reachable at zero cost but cannot come back at zero cost
         assert bool(summ.minus_zero_relation_holds[1])
         assert not bool(summ.minus_zero_relation_holds[0])
+
+
+class TestSummaryBands:
+    @pytest.mark.parametrize("band", [1, 7, 256])
+    def test_beta_equals_the_whole_matrix_formula(self, monkeypatch, band):
+        """beta is reduced over row bands, bit for bit as over the whole (m, m)
+        excursion matrix: NaN, inf, ties and both signed zeros included."""
+        monkeypatch.setattr(filtration, "SUMMARY_ROWS", band)
+        rng = np.random.default_rng(band)
+        values = np.array([0.0, -0.0, 0.25, 1.0, 2.0, np.inf, np.nan])
+        for m in (1, 2, 17, 300, 600):
+            L = np.where(rng.random((m, m)) < 0.5, rng.choice(values, (m, m)),
+                         rng.uniform(0.0, 3.0, (m, m)))
+            with np.errstate(invalid="ignore"):
+                whole = np.where(L.T > L, L, np.inf).min(axis=1)
+            want = np.where(np.diagonal(L) <= 1.0, whole, np.nan)
+            got = summarize(LevelMatrix(levels=L, targets=np.arange(m), horizon=1), 1.0)
+            assert got.beta.tobytes() == want.tobytes()
 
 
 class TestIntervals:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,10 @@ from nwfilt.builtins import (build_builtin_flow, build_grid_system, builtin,
 from nwfilt.core import ResourceLimitError, build_sampled_system, build_tabulated_system
 from nwfilt import core, links
 from nwfilt.flows import flow_exit_min
-from nwfilt.links import (HorizonStabilityReport, bottleneck_product, cell_order,
-                          entry_cost_rows, exit_min_matrix, horizon_stability,
-                          level_matrix, link_level, reachable_set,
+from nwfilt.flows import flow_level_matrix
+from nwfilt.links import (EntryCostRows, HorizonStabilityReport, bottleneck_product,
+                          cell_order, entry_cost_rows, exit_min_matrix, horizon_stability,
+                          level_matrix, link_level, nearest_exit_costs, reachable_set,
                           recompute_witness_level)
 
 
@@ -398,7 +400,7 @@ class TestLevelMatrixInCellOrder:
         got = level_matrix(system, targets)
         np.testing.assert_array_equal(got.targets, tg)
         D = entry_cost_rows(system, tg)
-        want = brute_product(D, exit_min_matrix(system, tg, entry_costs=D))
+        want = brute_product(D, exit_min_matrix(system, tg))
         assert got.levels.tobytes() == want.tobytes()
         for i, j in rng.integers(0, len(tg), size=(pairs, 2)):
             assert got.levels[i, j] == brute_pair_level(system, tg[i], tg[j])
@@ -600,6 +602,122 @@ class TestTwoHorizonExitMin:
                                np.arange(system.n), "indexed")
         merged = np.minimum(exit_min_matrix(half_horizon(system), np.arange(system.n), "indexed"), late)
         assert (np.isnan(merged) & ~np.isnan(full)).any()
+
+
+    @staticmethod
+    def clipped_indexed(cand, t, k):
+        """The indexed kernel as it clipped its search positions into range."""
+        out = np.empty((len(cand), len(t)))
+        for z in range(len(cand)):
+            s = np.sort(cand[z, :k])
+            pos = np.searchsorted(s, t)
+            out[z] = np.minimum(np.abs(t - s[np.clip(pos - 1, 0, len(s) - 1)]),
+                                np.abs(s[np.clip(pos, 0, len(s) - 1)] - t))
+        return out
+
+    @pytest.mark.parametrize("horizon", [1, 2, 5, 8])
+    def test_indexed_ends(self, horizon):
+        """Horizon 1 leaves one iterate per prefix, and some targets lie below or
+        above every iterate: the padded ends select the scan's floats.  With NaN
+        iterates (sorted last) the kernel selects the floats it selected with
+        clipped search positions."""
+        rng = np.random.default_rng(horizon)
+        cand = rng.uniform(-1.0, 1.0, (40, horizon, 1))
+        t = np.concatenate([[-5.0, -1.0, 1.0, 5.0], cand[:4, 0, 0],
+                            rng.uniform(-1.5, 1.5, 20)])
+        half = max(1, horizon // 2)
+        for got, want in zip(nearest_exit_costs(cand, t[:, None], "indexed", half=half),
+                             nearest_exit_costs(cand, t[:, None], "scan", half=half)):
+            assert got.tobytes() == want.tobytes()
+        cand[::3, rng.integers(0, horizon)] = np.nan
+        cand[5] = np.nan
+        cand[7, horizon // 2:] = np.nan
+        for got, k in zip(nearest_exit_costs(cand, t[:, None], "indexed", half=half),
+                          (half, horizon)):
+            assert got.tobytes() == self.clipped_indexed(cand[:, :, 0], t, k).tobytes()
+
+
+class TestEntryCostRows:
+    """The row view of the entry costs: D[rows] is entry_cost_rows(system, cols)[rows]."""
+
+    @staticmethod
+    def bands(m):
+        # whole, 32-row bands, and slices that cross COST_ROW_CHUNK boundaries
+        chunk = core.COST_ROW_CHUNK
+        return ([slice(None), slice(chunk - 5, chunk + 5), slice(chunk - 1, 2 * chunk + 1),
+                 slice(m - 3, m + 10)] + [slice(a, a + 32) for a in range(0, m, 32)])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rows_equal_the_whole_block(self, d):
+        system = coordinate_table(150, d, 2, seed=d)
+        cols = np.random.default_rng(d).permutation(150)[:141]
+        view, whole = EntryCostRows(system, cols), entry_cost_rows(system, cols)
+        assert view.shape == whole.shape
+        for rows in self.bands(len(cols)):
+            assert view[rows].tobytes() == whole[rows].tobytes()
+
+    def test_cost_tables_and_flows(self):
+        flow = build_builtin_flow("flow_att", box=[[-2, 2]], spacing=0.03, dt=0.05,
+                                  t_min=0.5, t_max=1.0)
+        for system in (cost_table(140, 2, 0), flow):
+            cols = np.arange(system.n)[::-1]
+            whole = entry_cost_rows(system, cols)
+            for rows in self.bands(len(cols)):
+                assert EntryCostRows(system, cols)[rows].tobytes() == whole[rows].tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_product_of_the_view(self, d):
+        system = coordinate_table(100, d, 4, seed=d + 10)
+        cols = np.arange(100)
+        M = exit_min_matrix(system, cols)
+        want = bottleneck_product(entry_cost_rows(system, cols), M).tobytes()
+        for threads in (1, 2, 3):
+            assert bottleneck_product(EntryCostRows(system, cols), M, threads).tobytes() == want
+
+
+def traced_peak(fn) -> int:
+    """Bytes that ``fn()`` allocates at its peak, above what was held before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestLevelMatrixMemory:
+    """A level matrix over m = n targets holds the exit minima and the levels
+    (with the horizon check, both horizons' exit minima) but never the whole
+    (m, n) entry costs: the call's traced peak stays below 2.6 (m, n) float
+    arrays, where holding D as well takes more than 3."""
+
+    BOUND = 2.6
+
+    @pytest.mark.parametrize("horizon_check", [False, True])
+    def test_map(self, horizon_check):
+        system = build_grid_system("f2", box=[[-5, 5]], spacing=0.01, horizon=64)
+        peak = traced_peak(lambda: level_matrix(system, horizon_check=horizon_check))
+        assert peak < self.BOUND * 8 * system.n ** 2
+
+    def test_flow(self):
+        system = build_builtin_flow("flow_att", box=[[-3, 3]], spacing=0.005, dt=0.01,
+                                    t_min=1.0, t_max=20.0)
+        peak = traced_peak(lambda: flow_level_matrix(system))
+        assert peak < self.BOUND * 8 * system.n ** 2
+
+    def test_coordinate_table(self):
+        # the tabulated gather holds its (n, m) cost table beside the exit
+        # minima of both horizons, but frees it before the product
+        system = coordinate_table(1000, 2, 8, seed=3)
+        peak = traced_peak(lambda: level_matrix(system))
+        assert peak < self.BOUND * 8 * system.n ** 2
+        peak = traced_peak(lambda: level_matrix(system, horizon_check=True))
+        assert peak < (self.BOUND + 1) * 8 * system.n ** 2
 
 
 class TestInfiniteCosts:
