@@ -34,12 +34,14 @@ the robust-return relation at zero budget emerges only in the limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .core import DEFAULT_MAX_SAMPLES, MapSystem, build_sampled_system, build_tabulated_system
-from .flows import SemiflowSystem, build_flow_system
+
+if TYPE_CHECKING:
+    from .flows import SemiflowSystem
 
 TAIL_NAME = "counterexample_tail"
 
@@ -199,6 +201,8 @@ def build_builtin_flow(name: str, box=None, spacing: float | None = None,
                        t_max: float | None = None,
                        max_samples: int = DEFAULT_MAX_SAMPLES) -> SemiflowSystem:
     """Grid-sample a builtin vector field (defaults from the registry)."""
+    from .flows import build_flow_system   # map specs never load the flow engine
+
     b = builtin(name)
     if b.kind != "semiflow":
         raise ValueError(f"builtin {name!r} is not a semiflow")

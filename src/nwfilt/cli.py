@@ -27,13 +27,17 @@ from pathlib import Path
 
 import numpy as np
 
+# Every module the commands call stays imported here, even where one command
+# needs it: perfbench/traced.py wraps only the functions of modules already
+# loaded by `import nwfilt.cli`, so a lazier import would drop per-layer
+# metrics without an error.  Only the oracle, which no traced target uses, is
+# imported by `verify` alone.
 from .core import ExtendedLevel, Branch, ResourceLimitError
 from .filtration import diagram, summarize
 from .flows import IntegrationError, flow_level_matrix
 from .links import level_matrix
 from .export import (build_document, export_diagram_json, export_levels_csv,
                      render_svg)
-from .oracle import run_verification
 from .specfile import LoadedSystem, SpecError, instance_to_spec, load_system
 from .wandering import find_wandering_certificates
 
@@ -183,6 +187,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import run_verification
+
     if args.seeds < 1:
         raise SpecError("--seeds must be at least 1")
     if args.max_size < 2 or args.max_size > 12:

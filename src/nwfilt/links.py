@@ -18,7 +18,6 @@ smallest step count, then smallest entry-sample index, never by scheduling.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -46,7 +45,7 @@ class LinkWitness:
 
     @property
     def level(self) -> float:
-        return max(self.start_cost, self.end_cost)
+        return float(np.maximum(self.start_cost, self.end_cost))   # NaN-propagating
 
 
 @dataclass(frozen=True)
@@ -227,13 +226,16 @@ def _pair_level_table(system: MapSystem, x: int, y: int) -> tuple[np.ndarray, np
 def link_level(system: MapSystem, x: int, y: int) -> tuple[float, LinkWitness]:
     """Minimal link level from sample x to sample y with an achieving witness.
 
-    Ties are broken by smallest step count, then smallest entry index.
+    Ties are broken by smallest step count, then smallest entry index.  A NaN
+    candidate (an iterate that left the finite floats) makes the level NaN, as
+    in ``level_matrix(method="scan")``; the witness is then the first NaN
+    candidate in the same order.
     """
     if system.n == 0:
         raise ValueError("empty sample set")
     entry, lev = _pair_level_table(system, x, y)
     best = lev.min()
-    zs, ks = np.nonzero(lev == best)
+    zs, ks = np.nonzero(np.isnan(lev) if np.isnan(best) else lev == best)
     order = np.lexsort((zs, ks))
     z, k = int(zs[order[0]]), int(ks[order[0]])
     wit = LinkWitness(start_index=z, steps=k + 1,
@@ -252,7 +254,7 @@ def recompute_witness_level(system: MapSystem, x: int, y: int, witness: LinkWitn
     """Re-derive max(entry cost, exit cost) for a stored witness from the orbit store."""
     entry = entry_cost_rows(system, np.array([x]))[0, witness.start_index]
     exit_ = _exit_cost(system, witness.start_index, witness.steps - 1, y)
-    return max(float(entry), exit_)
+    return float(np.maximum(entry, exit_))   # NaN-propagating, unlike max()
 
 
 def target_indices(n: int, targets: Iterable[int] | None) -> np.ndarray:
@@ -383,14 +385,16 @@ def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1,
         for rows in bands:
             fill(rows)
     else:
+        from concurrent.futures import ThreadPoolExecutor   # one thread never loads it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, bands))
     return out
 
 
 def ordered_product(coords: np.ndarray | None, tg: np.ndarray, n: int,
-                    costs: Callable[[np.ndarray], tuple], threads: int, half: bool = False,
-                    levels: np.ndarray | None = None) -> tuple[np.ndarray, tuple | None]:
+                    costs: Callable[[np.ndarray], tuple], threads: int,
+                    half: bool = False) -> tuple[np.ndarray, tuple | None]:
     """``bottleneck_product(D, M)`` over the targets ``tg``, computed in cell order.
 
     ``costs(cols)`` returns the entry costs D (m, n), exit minima M (n, m) and,
@@ -404,8 +408,7 @@ def ordered_product(coords: np.ndarray | None, tg: np.ndarray, n: int,
     the gather's cost table included, yet its analyze is no slower than with
     D held whole, since 2-D costs are summed per axis (``BENCH_12.json``).
     The costs are freed before the order is undone, one axis at a time, so
-    the undo holds at most two (m, m) arrays.  Prebuilt ``levels`` (in the
-    order of ``tg``) replace the product.  Returns the levels and, with
+    the undo holds at most two (m, m) arrays.  Returns the levels and, with
     ``half``, the changed pairs and largest change at half the horizon.
     """
     m = len(tg)
@@ -417,7 +420,7 @@ def ordered_product(coords: np.ndarray | None, tg: np.ndarray, n: int,
     if half:        # bit patterns: signed zeros and NaN cannot alias
         moved = (M.view(np.int64) != M_half.view(np.int64)).any(axis=0)
         M_half = M_half[:, moved]
-    L = bottleneck_product(D, M, threads) if levels is None else levels[np.ix_(perm, perm)]
+    L = bottleneck_product(D, M, threads)
     del M
     change = None
     if half:
@@ -486,21 +489,12 @@ def reachable_set(matrix: LevelMatrix, x: int, eps: float) -> np.ndarray:
 
 
 def horizon_stability(system: MapSystem, targets: Iterable[int] | None = None,
-                      threads: int = 1,
-                      full: LevelMatrix | None = None) -> HorizonStabilityReport:
+                      threads: int = 1) -> HorizonStabilityReport:
     """Compare levels at the full horizon against half the horizon.
 
     A nonzero change count means some level is still improving with longer
     orbits, i.e. the horizon may be too short for the reported resolution.
-    Pass the full-horizon ``full`` matrix when it is already built; its targets
-    are then used and its levels are not recomputed.  Only the columns whose
-    exit minima move at half the horizon are; see ``ordered_product``.
+    The check runs in ``level_matrix``'s pass, which recomputes only the
+    columns whose exit minima move at half the horizon; see ``ordered_product``.
     """
-    if full is None:
-        return level_matrix(system, targets, threads, horizon_check=True).horizon_check
-    if full.kind != "map" or full.horizon != system.horizon:
-        raise ValueError("full matrix was not built at this system's horizon")
-    h2 = max(1, system.horizon // 2)
-    _, change = ordered_product(system.space.coords, full.targets, system.n,
-                                _map_costs(system, "auto", h2), threads, True, full.levels)
-    return HorizonStabilityReport(system.horizon, h2, *change)
+    return level_matrix(system, targets, threads, horizon_check=True).horizon_check

@@ -8,7 +8,7 @@ import pytest
 from nwfilt import cli, core, flows, links
 from nwfilt.cli import main
 from nwfilt.core import ResourceLimitError
-from nwfilt.links import horizon_stability, level_matrix
+from nwfilt.links import horizon_stability
 from nwfilt.specfile import load_system
 
 
@@ -115,12 +115,12 @@ class TestAnalyze:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_horizon_line_matches_horizon_stability(self, tmp_path, capsys, threads):
         """analyze runs the check in its level-matrix pass; the stderr line is the
-        one horizon_stability's report gives for the prebuilt matrix."""
+        one horizon_stability's report gives."""
         spec = write_spec(tmp_path, "tail.json", {
             "kind": "map", "source": {"builtin": "counterexample_tail",
                                       "params": {"n_max": 10, "m_max": 8}}})
         system = load_system(spec).system
-        rep = horizon_stability(system, full=level_matrix(system))
+        rep = horizon_stability(system)
         assert not rep.stable
         want = (f"horizon check at n_max={rep.reduced_horizon}: {rep.changed_pairs} "
                 f"pairs changed (max {rep.max_change:.3g})\n")

@@ -214,6 +214,25 @@ class TestWitnesses:
         # z = 0 reaches itself exactly in 3 steps; no shorter exact link exists
         assert (wit.steps, wit.start_index) == (3, 0)
 
+    @pytest.mark.parametrize("horizon", [1, 3, 4, 6])
+    def test_nan_candidates_give_the_scan_level(self, horizon):
+        """A NaN iterate makes the level NaN, as the scan's np.minimum does; the
+        witness is the first NaN candidate by step count, then entry index, and
+        its level and recomputed level stay NaN.  At horizon 1 no iterate is NaN."""
+        sys = nan_orbit(horizon)
+        scan = level_matrix(sys, method="scan").levels
+        first_nan = (2, sys.index_of(-0.7))    # -0.7 -> 0.123 -> NaN
+        for x in range(sys.n):
+            for y in range(sys.n):
+                lvl, wit = link_level(sys, x, y)
+                assert np.array_equal(lvl, scan[x, y], equal_nan=True)
+                assert np.array_equal(wit.level, lvl, equal_nan=True)
+                assert np.array_equal(recompute_witness_level(sys, x, y, wit), lvl,
+                                      equal_nan=True)
+                if horizon > 1:
+                    assert np.isnan(wit.end_cost)
+                    assert (wit.steps, wit.start_index) == first_nan
+
 
 class TestDeterminismAndMethods:
     def test_scan_and_indexed_paths_identical(self, f2_small):
@@ -740,17 +759,11 @@ class TestHorizonStability:
             rep = horizon_stability(sys)
             assert rep.stable
 
-    def test_reuses_a_prebuilt_full_matrix(self, f2_small):
-        rep = horizon_stability(f2_small, full=level_matrix(f2_small))
-        assert rep == horizon_stability(f2_small)
+    def test_matches_the_whole_half_horizon_matrix(self, f2_small):
         sys = build_tabulated_system([1, 2, 3, 0], horizon=2,
                                      cost_matrix=np.ones((4, 4)) - np.eye(4))
-        assert horizon_stability(sys, full=level_matrix(sys)) == horizon_stability(sys)
-
-    def test_full_matrix_must_match_the_horizon(self, f2_small):
-        short = build_grid_system("f2", box=[[-2, 2]], spacing=0.01, horizon=8)
-        with pytest.raises(ValueError, match="horizon"):
-            horizon_stability(f2_small, full=level_matrix(short))
+        for system in (f2_small, sys):
+            assert horizon_stability(system) == whole_half_report(system, level_matrix(system))
 
     def test_pairs_unreachable_at_both_horizons_are_unchanged(self):
         m = np.array([[0.0, np.inf], [np.inf, 0.0]])
@@ -865,7 +878,6 @@ class TestHorizonMovedColumns:
             assert fused.horizon_check == want
 
         for threads in (1, 2, 3):
-            assert horizon_stability(system, threads=threads, full=full) == want
             assert_fused(threads)
         assert horizon_stability(system, targets) == want
         for batch, window in ((1, 2), (2, 1)):
