@@ -19,14 +19,17 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .core import (CostSpace, DEFAULT_MAX_SAMPLES, check_store_size, grid_points,
                    points_to_samples_cost)
-from .links import (EntryCostRows, LevelMatrix, nearest_exit_costs, ordered_product,
-                    target_indices)
+
+if TYPE_CHECKING:
+    from .links import LevelMatrix
+
+RK4_BLOCK = 64      # steps integrated between two finiteness tests and store copies
 
 
 class IntegrationError(RuntimeError):
@@ -39,27 +42,47 @@ def integrate(field_fn: Callable[[np.ndarray], np.ndarray], z0,
 
     ``z0`` may be a single state or an (n, d) batch; the returned trajectory
     has shape (steps + 1, ...) with steps = round(t_max / dt), sampled at
-    times {0, dt, ..., t_max}.
+    times {0, dt, ..., t_max}.  A batch is stored sample-major, so the result
+    is a time-major view of an (n, steps + 1, ...) array.  States are computed
+    ``RK4_BLOCK`` steps at a time into a small buffer that is tested for
+    finiteness and then copied into the store.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    steps = int(round(t_max / dt))
+    steps = t_max / dt
+    if not np.isfinite(steps):
+        raise ValueError("t_max / dt must be finite")
+    steps = int(round(steps))
     y = np.array(z0, dtype=float)
-    out = np.empty((steps + 1,) + y.shape)
+    if y.ndim < 2:
+        out = np.empty((steps + 1,) + y.shape)
+    else:
+        out = np.swapaxes(np.empty((y.shape[0], steps + 1) + y.shape[1:]), 0, 1)
     out[0] = y
-    with np.errstate(over="ignore", invalid="ignore"):   # non-finite states raise below
-        for i in range(steps):
-            k1 = field_fn(y)
-            k2 = field_fn(y + 0.5 * dt * k1)
-            k3 = field_fn(y + 0.5 * dt * k2)
-            k4 = field_fn(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                bad = np.argwhere(~np.isfinite(np.atleast_1d(y)))
+    block = np.empty((min(RK4_BLOCK, steps),) + y.shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i0 in range(0, steps, RK4_BLOCK):     # non-finite states raise below
+            rows = block[:min(RK4_BLOCK, steps - i0)]
+            for j in range(len(rows)):
+                k1 = field_fn(y)
+                k2 = field_fn(y + 0.5 * dt * k1)
+                k3 = field_fn(y + 0.5 * dt * k2)
+                k4 = field_fn(y + dt * k3)
+                y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                rows[j] = y
+            # (step, component...); a scalar state has the one component [0]
+            finite = np.isfinite(rows).reshape(len(rows), *(rows.shape[1:] or (1,)))
+            if not finite.all():        # the first bad step, then its first bad component
+                j, *bad = np.argwhere(~finite)[0].tolist()
                 raise IntegrationError(
-                    f"non-finite state at t={(i + 1) * dt:.6g}, component {bad[0].tolist()}")
-            out[i + 1] = y
+                    f"non-finite state at t={(i0 + j + 1) * dt:.6g}, component {bad}")
+            out[i0 + 1:i0 + 1 + len(rows)] = rows
     return out
+
+
+def _check_times(dt: float, t_min: float, t_max: float) -> None:
+    if not (0 < dt <= t_min <= t_max):
+        raise ValueError("need 0 < dt <= t_min <= t_max")
 
 
 @dataclass(frozen=True)
@@ -81,8 +104,7 @@ class SemiflowSystem:
     name: str = "semiflow"
 
     def __post_init__(self):
-        if not (0 < self.dt <= self.t_min <= self.t_max):
-            raise ValueError("need 0 < dt <= t_min <= t_max")
+        _check_times(self.dt, self.t_min, self.t_max)
 
     @property
     def n(self) -> int:
@@ -107,14 +129,14 @@ def build_flow_system(field_fn: Callable[[np.ndarray], np.ndarray],
                       name: str = "semiflow",
                       max_samples: int = DEFAULT_MAX_SAMPLES) -> SemiflowSystem:
     """Sample a box, integrate every sample forward, and package the system."""
+    _check_times(dt, t_min, t_max)
     pts = grid_points(box, spacing, max_samples=max_samples)
-    if dt > 0:
-        # integrate's store and its transposed copy below, each n x (steps+1) x d
-        steps = t_max / dt
-        check_store_size(2 * pts.size * (steps + 1) * 8,
-                         f"the trajectories ({pts.shape[0]} samples x {steps:.4g} steps)",
-                         "raise horizon.dt, lower horizon.t_max or use a coarser grid")
-    traj = integrate(field_fn, pts, t_max, dt)      # (steps+1, n, d)
+    # integrate's store, n x (steps+1) x d floats, priced twice: the factor 2 is a margin
+    steps = t_max / dt
+    check_store_size(2 * pts.size * (steps + 1) * 8,
+                     f"the trajectories ({pts.shape[0]} samples x {steps:.4g} steps)",
+                     "raise horizon.dt, lower horizon.t_max or use a coarser grid")
+    traj = integrate(field_fn, pts, t_max, dt)      # (steps+1, n, d) view of the store
     traj = np.ascontiguousarray(np.swapaxes(traj, 0, 1))
     return SemiflowSystem(space=CostSpace(coords=pts), dt=dt, t_min=t_min, t_max=t_max,
                           traj=traj, spacing=spacing, box=np.asarray(box, dtype=float),
@@ -146,6 +168,8 @@ def _duration_window(system: SemiflowSystem, T: float | None) -> tuple[int, floa
 
 def flow_exit_min(system: SemiflowSystem, cols: np.ndarray, i_min: int) -> np.ndarray:
     """M[z, j] = min over grid durations r >= i_min * dt of cost(flow_r(z), cols[j])."""
+    from .links import nearest_exit_costs
+
     return nearest_exit_costs(system.traj[:, i_min:, :], system.space.coords[cols])
 
 
@@ -153,6 +177,8 @@ def flow_level_matrix(system: SemiflowSystem, T: float | None = None,
                       targets: Iterable[int] | None = None,
                       threads: int = 1) -> LevelMatrix:
     """Pairwise flow link levels at duration floor T (default: the configured t_min)."""
+    from .links import EntryCostRows, LevelMatrix, ordered_product, target_indices
+
     i_min, t = _duration_window(system, T)
     n = system.n
     tg = target_indices(n, targets)

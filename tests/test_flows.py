@@ -1,11 +1,50 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nwfilt.builtins import build_builtin_flow
+import nwfilt.flows as flows
+from nwfilt.builtins import build_builtin_flow, builtin, builtin_names
 from nwfilt.core import neg_level, pos_level
 from nwfilt.filtration import omega_slice, robustness_level, summarize
-from nwfilt.flows import (IntegrationError, build_flow_system, flow_level_matrix,
+from nwfilt.flows import (RK4_BLOCK, IntegrationError, build_flow_system, flow_level_matrix,
                           flow_link_level, integrate)
+
+
+def per_step_integrate(field_fn, z0, t_max, dt):
+    """Reference: one RK4 step at a time into a time-major store, each state tested."""
+    steps = int(round(t_max / dt))
+    y = np.array(z0, dtype=float)
+    out = np.empty((steps + 1,) + y.shape)
+    out[0] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            k1 = field_fn(y)
+            k2 = field_fn(y + 0.5 * dt * k1)
+            k3 = field_fn(y + 0.5 * dt * k2)
+            k4 = field_fn(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(y)):
+                bad = np.argwhere(~np.isfinite(np.atleast_1d(y)))
+                raise IntegrationError(
+                    f"non-finite state at t={(i + 1) * dt:.6g}, component {bad[0].tolist()}")
+            out[i + 1] = y
+    return out
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def planar(z):
+    return np.stack([-z[..., 1] - 0.2 * z[..., 0], z[..., 0] - 0.2 * z[..., 1]], axis=-1)
+
+
+FIELDS = {**{n: builtin(n).evaluator for n in builtin_names() if builtin(n).kind == "semiflow"},
+          "planar": planar, "returns_its_input": lambda x: x}
+Z0 = {"scalar": 0.7, "state": [0.7, -1.2],
+      "batch": np.linspace(-2.0, 2.0, 9)[:, None],
+      "batch_2d": np.stack([np.linspace(-2.0, 2.0, 9), np.linspace(1.5, -0.5, 9)], axis=1)}
 
 
 class TestIntegrate:
@@ -32,6 +71,53 @@ class TestIntegrate:
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
             integrate(lambda x: x, np.array([1.0]), 1.0, 0.0)
+
+    @pytest.mark.parametrize("t_max", [np.inf, np.nan])
+    def test_unbounded_horizon_rejected(self, t_max):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(lambda x: x, np.array([1.0]), t_max, 0.1)
+
+
+class TestBlockedStore:
+    """integrate against the per-step reference: the same floats, bit for bit."""
+
+    @pytest.mark.parametrize("steps", [10, 2 * RK4_BLOCK, 2 * RK4_BLOCK + 2])
+    @pytest.mark.parametrize("field, z0", [
+        (f, z) for f in FIELDS for z in Z0
+        if f != "planar" or z in ("state", "batch_2d")])   # planar needs 2-D states
+    def test_bit_identical_to_per_step_loop(self, field, z0, steps):
+        got = integrate(FIELDS[field], Z0[z0], steps * 0.05, 0.05)
+        want = per_step_integrate(FIELDS[field], Z0[z0], steps * 0.05, 0.05)
+        assert got.shape == want.shape == (steps + 1,) + np.shape(Z0[z0])
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_batch_is_a_view_of_a_sample_major_store(self):
+        traj = integrate(FIELDS["flow_att"], Z0["batch_2d"], 3.0, 0.01)
+        assert np.swapaxes(traj, 0, 1).flags.c_contiguous
+
+    @pytest.mark.parametrize("step", [5, RK4_BLOCK + 36, 2 * RK4_BLOCK + 1])
+    @pytest.mark.parametrize("z0", list(Z0))
+    def test_blowup_message_matches_per_step_loop(self, z0, step):
+        # unit speed until the state passes (step - 1/2) dt, then an infinite
+        # field: the first non-finite state is that of `step`; in a batch,
+        # every component but two starts 3 dt behind, and those two blow up together
+        dt = 0.125
+        start = np.zeros(np.shape(Z0[z0]))
+        if start.ndim == 2:
+            start[:] = -3 * dt
+            start[2, -1] = start[3, 0] = 0.0
+
+        def field(x):
+            return np.where(x > (step - 0.5) * dt, np.inf, 1.0)
+
+        with pytest.raises(IntegrationError) as want:
+            per_step_integrate(field, start, 2 * RK4_BLOCK + 2, dt)
+        with pytest.raises(IntegrationError) as got:
+            integrate(field, start, 2 * RK4_BLOCK + 2, dt)
+        assert str(got.value) == str(want.value)
+        assert f"t={step * dt:.6g}," in str(got.value)
+        component = f"[2, {start.shape[1] - 1}]" if start.ndim == 2 else "[0]"
+        assert str(got.value).endswith(component)
 
 
 @pytest.fixture(scope="module")
@@ -165,8 +251,29 @@ class TestFlowLevels:
 
 
 class TestSystemValidation:
-    def test_ordering_constraints(self):
-        with pytest.raises(ValueError):
-            build_flow_system(lambda x: -x, [[-1, 1]], 0.5, dt=0.2, t_min=0.1, t_max=5.0)
-        with pytest.raises(ValueError):
-            build_flow_system(lambda x: -x, [[-1, 1]], 0.5, dt=0.2, t_min=6.0, t_max=5.0)
+    def test_ordering_constraints(self, monkeypatch):
+        def no_integration(*args):
+            raise AssertionError("integrated before the time parameters were checked")
+
+        monkeypatch.setattr(flows, "integrate", no_integration)
+        for dt, t_min, t_max in [(0.2, 0.1, 5.0), (0.2, 6.0, 5.0), (0.001, 30.0, 20.0),
+                                 (0.0, 1.0, 2.0), (-0.1, 1.0, 2.0), (np.nan, 1.0, 2.0),
+                                 (0.1, 1.0, np.nan)]:
+            with pytest.raises(ValueError, match="need 0 < dt <= t_min <= t_max"):
+                build_flow_system(lambda x: -x, [[-1, 1]], 0.01, dt=dt, t_min=t_min,
+                                  t_max=t_max)
+
+    def test_trajectories_are_one_c_contiguous_store(self):
+        # the trajectories, one RK4 block and 1 MiB of small temporaries
+        n, steps = 601, 1000
+        store = n * (steps + 1) * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sys = build_builtin_flow("flow_att", box=[[-3, 3]], spacing=0.01,
+                                     dt=0.01, t_min=1.0, t_max=steps * 0.01)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sys.traj.shape == (n, steps + 1, 1) and sys.traj.flags.c_contiguous
+        assert peak <= store + RK4_BLOCK * n * 8 + 2**20

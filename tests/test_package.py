@@ -72,7 +72,7 @@ def test_import_loads_no_submodule_and_no_numpy():
                                 "params": {"n_max": 4, "m_max": 4}}}, []),
     ({"kind": "semiflow", "source": {"builtin": "flow_att"},
       "grid": {"box": [[-1.0, 1.0]], "h": 0.1},
-      "horizon": {"dt": 0.1, "t_min": 1.0, "t_max": 2.0}}, ["flows", "links"]),
+      "horizon": {"dt": 0.1, "t_min": 1.0, "t_max": 2.0}}, ["flows"]),
 ], ids=["map", "table", "semiflow"])
 def test_spec_load_imports_only_what_it_runs(tmp_path, spec, extra):
     path = tmp_path / "spec.json"
