@@ -34,7 +34,7 @@ import numpy as np
 # imported by `verify` alone.
 from .core import ExtendedLevel, Branch, ResourceLimitError
 from .filtration import diagram, summarize
-from .flows import IntegrationError, flow_level_matrix
+from .flows import IntegrationError
 from .links import level_matrix
 from .export import (build_document, export_diagram_json, export_levels_csv,
                      render_svg)
@@ -50,10 +50,7 @@ HORIZON_CHECK_CAP = 2048   # largest n for which analyze runs the horizon check
 
 
 def _matrix_and_summary(loaded: LoadedSystem, threads: int, horizon_check: bool = False):
-    if loaded.kind == "map":
-        matrix = level_matrix(loaded.system, threads=threads, horizon_check=horizon_check)
-    else:
-        matrix = flow_level_matrix(loaded.system, threads=threads)
+    matrix = level_matrix(loaded.system, threads=threads, horizon_check=horizon_check)
     return matrix, summarize(matrix, zero_tol=loaded.tau)
 
 

@@ -322,7 +322,8 @@ class MapSystem:
     For sampled systems ``orbit_coords[z, k]`` holds the raw coordinates of the
     (k+1)-st iterate of sample z; for tabulated systems ``orbit_table[z, k]``
     holds its sample index.  Segments always have length ``horizon`` (fixed
-    points simply repeat).
+    points simply repeat).  Links leave the orbit at steps ``first_step`` to
+    ``horizon``: the exit window, all stored iterates by default.
     """
 
     space: CostSpace
@@ -333,6 +334,11 @@ class MapSystem:
     spacing: float | None = None
     box: np.ndarray | None = None
     name: str = "system"
+    first_step: int = 1
+
+    def __post_init__(self):
+        if not 1 <= self.first_step <= self.horizon:
+            raise ValueError("need 1 <= first_step <= horizon")
 
     @property
     def n(self) -> int:

@@ -26,7 +26,7 @@ above the gate (and everywhere on exact tables) it is the plain threshold
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ SUMMARY_ROWS = 256   # level rows per band of summarize's beta reduction
 
 @dataclass(frozen=True)
 class LevelSummary:
-    """Per-sample recurrence level, robustness level, and zero-gate metadata.
+    """Per-sample recurrence level and robustness level at a zero gate.
 
     ``beta`` uses NaN for "undefined" (sample not recurrent at the gate) and
     inf for "robust at every magnitude".
@@ -49,8 +49,6 @@ class LevelSummary:
     beta: np.ndarray                     # (m,) NaN = undefined
     zero_tol: float
     targets: np.ndarray                  # (m,) sample indices
-    minus_zero_relation_holds: np.ndarray  # (m,) bool diagnostic
-    meta: dict = field(default_factory=dict)
 
     @property
     def m(self) -> int:
@@ -91,34 +89,8 @@ def summarize(matrix: LevelMatrix, zero_tol: float) -> LevelSummary:
         beta_all[a:a + SUMMARY_ROWS] = np.where(qualifying, rows, np.inf).min(axis=1)
     defined = lam <= zero_tol
     beta = np.where(defined, beta_all, np.nan)
-    cheap = L <= zero_tol
-    violation = cheap & ~cheap.T
-    flag = ~violation.any(axis=1)
     return LevelSummary(lam=lam, beta=beta, zero_tol=float(zero_tol),
-                        targets=matrix.targets.copy(),
-                        minus_zero_relation_holds=flag,
-                        meta=dict(matrix.meta, horizon=matrix.horizon,
-                                  spacing=matrix.spacing, kind=matrix.kind))
-
-
-def robustness_level(matrix: LevelMatrix, x: int, zero_tol: float) -> float:
-    """beta(x), or NaN when x is not recurrent at the zero gate.
-
-    Requires the matrix to cover the full row and column of x, i.e. a complete
-    matrix over all samples.
-    """
-    n_meta = matrix.meta.get("n")
-    if n_meta is not None and not matrix.is_complete(n_meta):
-        raise ValueError("robustness needs a complete level matrix")
-    r = matrix.row_of(x)
-    if matrix.levels[r, r] > zero_tol:
-        return float("nan")
-    row = matrix.levels[r]
-    col = matrix.levels[:, r]
-    mask = col > row
-    if not mask.any():
-        return float("inf")
-    return float(row[mask].min())
+                        targets=matrix.targets.copy())
 
 
 def _pos_member(summary: LevelSummary, magnitude: float) -> np.ndarray:

@@ -18,16 +18,15 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import (CostSpace, DEFAULT_MAX_SAMPLES, check_store_size, grid_points,
-                   points_to_samples_cost)
+from .core import CostSpace, DEFAULT_MAX_SAMPLES, MapSystem, check_store_size, grid_points
 
 if TYPE_CHECKING:
-    from .links import LevelMatrix
+    from .links import LevelMatrix, LinkWitness
 
 RK4_BLOCK = 64      # steps integrated between two finiteness tests and store copies
 
@@ -85,42 +84,30 @@ def _check_times(dt: float, t_min: float, t_max: float) -> None:
         raise ValueError("need 0 < dt <= t_min <= t_max")
 
 
-@dataclass(frozen=True)
-class SemiflowSystem:
-    """Grid-sampled vector field with stored trajectories.
+@dataclass(frozen=True, kw_only=True)
+class SemiflowSystem(MapSystem):
+    """Grid-sampled vector field as a map system over the time grid.
 
-    ``traj[z, i]`` is the state of sample z at time ``i * dt``; the duration
-    floor ``t_min`` and the horizon ``t_max`` delimit the admissible link
-    durations.
+    ``orbit_coords[z, k]`` is the state of sample z at time ``(k + 1) * dt``
+    and ``horizon`` the number of steps up to ``t_max``.  Links leave at
+    durations of at least ``t_min``: ``first_step`` is ``round(t_min / dt)``,
+    so another duration floor is ``dataclasses.replace(system, t_min=T)`` and
+    a witness lasts ``steps * dt``.
     """
 
-    space: CostSpace
     dt: float
     t_min: float
     t_max: float
-    traj: np.ndarray              # (n, steps + 1, d)
-    spacing: float | None = None
-    box: np.ndarray | None = None
-    name: str = "semiflow"
+    first_step: int = field(init=False, default=1)
 
     def __post_init__(self):
         _check_times(self.dt, self.t_min, self.t_max)
+        object.__setattr__(self, "first_step", int(round(self.t_min / self.dt)))
+        super().__post_init__()
 
-    @property
-    def n(self) -> int:
-        return self.space.n
-
-    @property
-    def steps(self) -> int:
-        return self.traj.shape[1] - 1
-
-    def time_index(self, t: float) -> int:
-        return int(round(t / self.dt))
-
-    def index_of(self, coord) -> int:
-        costs = points_to_samples_cost(np.atleast_2d(np.asarray(coord, dtype=float)),
-                                       self.space)
-        return int(np.argmin(costs[0]))
+    def at_floor(self, T: float | None) -> SemiflowSystem:
+        """The same trajectories with links at durations of at least T (None: t_min)."""
+        return self if T is None else replace(self, t_min=float(T))
 
 
 def build_flow_system(field_fn: Callable[[np.ndarray], np.ndarray],
@@ -136,80 +123,35 @@ def build_flow_system(field_fn: Callable[[np.ndarray], np.ndarray],
     check_store_size(2 * pts.size * (steps + 1) * 8,
                      f"the trajectories ({pts.shape[0]} samples x {steps:.4g} steps)",
                      "raise horizon.dt, lower horizon.t_max or use a coarser grid")
-    traj = integrate(field_fn, pts, t_max, dt)      # (steps+1, n, d) view of the store
-    traj = np.ascontiguousarray(np.swapaxes(traj, 0, 1))
-    return SemiflowSystem(space=CostSpace(coords=pts), dt=dt, t_min=t_min, t_max=t_max,
-                          traj=traj, spacing=spacing, box=np.asarray(box, dtype=float),
-                          name=name)
+    traj = np.swapaxes(integrate(field_fn, pts, t_max, dt), 0, 1)   # the sample-major store
+    return SemiflowSystem(space=CostSpace(coords=pts), horizon=traj.shape[1] - 1,
+                          orbit_coords=traj[:, 1:], spacing=spacing,
+                          box=np.asarray(box, dtype=float), name=name,
+                          dt=dt, t_min=t_min, t_max=t_max)
 
 
-@dataclass(frozen=True)
-class FlowLinkWitness:
-    """An achieving (entry sample, duration) pair for a flow link level."""
+# The flow entry points: the map engine at duration floor T.  perfbench/ imports
+# and traces them by name.
 
-    start_index: int
-    duration: float
-    start_cost: float
-    end_cost: float
+def flow_exit_min(system: SemiflowSystem, cols: np.ndarray, T: float | None = None) -> np.ndarray:
+    """M[z, j] = min over grid durations r >= T of cost(flow_r(z), cols[j])."""
+    from .links import exit_min_matrix
 
-    @property
-    def level(self) -> float:
-        return max(self.start_cost, self.end_cost)
-
-
-def _duration_window(system: SemiflowSystem, T: float | None) -> tuple[int, float]:
-    t = system.t_min if T is None else float(T)
-    if t > system.t_max:
-        raise ValueError(f"duration floor {t} exceeds the horizon {system.t_max}")
-    if t < system.dt:
-        raise ValueError("duration floor must be at least dt")
-    return system.time_index(t), t
-
-
-def flow_exit_min(system: SemiflowSystem, cols: np.ndarray, i_min: int) -> np.ndarray:
-    """M[z, j] = min over grid durations r >= i_min * dt of cost(flow_r(z), cols[j])."""
-    from .links import nearest_exit_costs
-
-    return nearest_exit_costs(system.traj[:, i_min:, :], system.space.coords[cols])
+    return exit_min_matrix(system.at_floor(T), cols)
 
 
 def flow_level_matrix(system: SemiflowSystem, T: float | None = None,
                       targets: Iterable[int] | None = None,
                       threads: int = 1) -> LevelMatrix:
     """Pairwise flow link levels at duration floor T (default: the configured t_min)."""
-    from .links import EntryCostRows, LevelMatrix, ordered_product, target_indices
+    from .links import level_matrix
 
-    i_min, t = _duration_window(system, T)
-    n = system.n
-    tg = target_indices(n, targets)
-    coords = system.space.coords
-
-    def costs(cols: np.ndarray) -> tuple:
-        return EntryCostRows(system, cols), flow_exit_min(system, cols, i_min), None
-
-    return LevelMatrix(levels=ordered_product(coords, tg, n, costs, threads)[0], targets=tg,
-                       horizon=system.steps, spacing=system.spacing, kind="flow",
-                       meta={"name": system.name, "n": n, "dt": system.dt,
-                             "t_min": t, "t_max": system.t_max})
+    return level_matrix(system.at_floor(T), targets, threads)
 
 
 def flow_link_level(system: SemiflowSystem, x: int, y: int,
-                    T: float | None = None) -> tuple[float, FlowLinkWitness]:
+                    T: float | None = None) -> tuple[float, LinkWitness]:
     """Minimal flow link level from sample x to sample y at duration floor T."""
-    i_min, _ = _duration_window(system, T)
-    coords = system.space.coords
-    entry = points_to_samples_cost(coords[x][None, :], system.space)[0]
-    window = system.traj[:, i_min:, :]
-    if coords.shape[1] == 1:
-        exits = np.abs(window[:, :, 0] - coords[y, 0])
-    else:
-        diff = window - coords[y][None, None, :]
-        exits = np.sqrt(np.sum(diff * diff, axis=2))
-    lev = np.maximum(entry[:, None], exits)
-    best = lev.min()
-    zs, ks = np.nonzero(lev == best)
-    order = np.lexsort((zs, ks))
-    z, k = int(zs[order[0]]), int(ks[order[0]])
-    wit = FlowLinkWitness(start_index=z, duration=(i_min + k) * system.dt,
-                          start_cost=float(entry[z]), end_cost=float(exits[z, k]))
-    return float(best), wit
+    from .links import link_level
+
+    return link_level(system.at_floor(T), x, y)

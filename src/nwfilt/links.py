@@ -1,9 +1,12 @@
 """Minimal link levels between samples.
 
 A link from x to y is an orbit segment entered near x and left near y: pick a
-sample z and a step count n in [1, horizon], pay ``cost(x, z)`` to jump in and
-``cost(f^n(z), y)`` to jump out.  The level of the pair (x, y) is the smallest
-worst-case budget over all such segments,
+sample z and a step count n in the exit window [first_step, horizon], pay
+``cost(x, z)`` to jump in and ``cost(f^n(z), y)`` to jump out.  Maps leave
+at any stored iterate (first_step 1); a semiflow is a map over its time grid
+that leaves at durations of at least its floor, so one engine serves both.
+The level of the pair (x, y) is the smallest worst-case budget over all such
+segments,
 
     level(x, y) = min over (z, n) of max(cost(x, z), cost(f^n(z), y)),
 
@@ -18,8 +21,8 @@ smallest step count, then smallest entry-sample index, never by scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -68,16 +71,11 @@ class LevelMatrix:
     targets: np.ndarray          # (m,) sample indices
     horizon: int
     spacing: float | None = None
-    kind: str = "map"            # "map" or "flow"
-    meta: dict = field(default_factory=dict)
     horizon_check: HorizonStabilityReport | None = None   # set by level_matrix when asked
 
     @property
     def m(self) -> int:
         return len(self.targets)
-
-    def is_complete(self, n: int) -> bool:
-        return self.m == n and np.array_equal(self.targets, np.arange(n))
 
     def row_of(self, sample: int) -> int:
         pos = np.searchsorted(self.targets, sample)
@@ -106,11 +104,10 @@ class EntryCostRows:
     """The entry costs ``entry_cost_rows(system, cols)`` as a row view.
 
     ``D[rows]`` computes only the requested rows, so a product that reads D
-    one row band at a time never holds the whole (len(cols), n) array.  Any
-    system with a ``space`` works: maps and semiflows share this path.
+    one row band at a time never holds the whole (len(cols), n) array.
     """
 
-    system: object
+    system: MapSystem
     cols: np.ndarray
 
     @property
@@ -122,91 +119,81 @@ class EntryCostRows:
 
 
 def _exit_points(system: MapSystem) -> np.ndarray:
-    """Raw orbit coordinates per sample, shape (n, horizon, d)."""
+    """Raw coordinates of the exit window per sample, shape (n, K, d)."""
     if system.is_tabulated:
-        return system.space.coords[system.orbit_table]
-    return system.orbit_coords
+        return system.space.coords[system.orbit_table[:, system.first_step - 1:]]
+    return system.orbit_coords[:, system.first_step - 1:]
 
 
-def nearest_exit_costs(cand: np.ndarray, targets: np.ndarray, method: str = "auto",
-                       half: int | None = None):
+def nearest_exit_costs(cand: np.ndarray, targets: np.ndarray, half: int | None = None):
     """out[z, j] = min over k of the Euclidean distance from cand[z, k] to targets[j].
 
-    ``cand`` holds raw exit points, (n, K, d); ``targets`` is (m, d).
-    "indexed" keeps a sorted projection per row (1-D only), "scan" evaluates
-    every candidate; both minimize over the same floats.  With ``half``, returns
-    the pair (minima over the first ``half`` candidates, minima over all), both
-    from the same pass over the rows.
+    ``cand`` holds raw exit points, (n, K, d); ``targets`` is (m, d).  In 1-D
+    each row's candidates are sorted once and searched, otherwise every
+    candidate is evaluated; both minimize over the same floats.  A NaN
+    candidate makes its row NaN, as a minimum over all of them would.  With
+    ``half``, returns the pair (minima over the first ``half`` candidates,
+    minima over all), both from the same pass over the rows.
     """
-    one_d = cand.shape[2] == 1
-    if one_d:
-        cand = cand[:, :, 0]
-    if method == "auto":
-        method = "indexed" if one_d else "scan"
-    if method == "indexed" and not one_d:
-        raise ValueError("indexed nearest-iterate queries need 1-D coordinates")
     stops = (cand.shape[1],) if half is None else (half, cand.shape[1])
     outs = [np.empty((cand.shape[0], len(targets))) for _ in stops]
-    if method == "indexed":
-        t = targets[:, 0]
+    if cand.shape[2] == 1:
+        cand, t = cand[:, :, 0], targets[:, 0]
         for z in range(cand.shape[0]):
-            for k, out in zip(stops, outs):     # NaN sorts last: one sort per prefix, no merge
+            for k, out in zip(stops, outs):     # one sort per prefix, no merge
                 s = np.sort(cand[z, :k])
+                if np.isnan(s[-1]):             # NaN sorts last
+                    out[z] = np.nan
+                    continue
                 pos = np.searchsorted(s, t)
                 sp = np.concatenate((s[:1], s, s[-1:]))    # padded ends: no clipping of pos
                 out[z] = np.minimum(np.abs(t - sp[pos]), np.abs(sp[pos + 1] - t))
-    elif method == "scan":
+    else:
         for z in range(cand.shape[0]):
-            if one_d:
-                d = np.abs(cand[z][:, None] - targets[None, :, 0])
-            else:
-                diff = cand[z][:, None, :] - targets[None, :, :]
-                d = np.sqrt(np.sum(diff * diff, axis=2))
+            diff = cand[z][:, None, :] - targets[None, :, :]
+            d = np.sqrt(np.sum(diff * diff, axis=2))
             for k, out in zip(stops, outs):
                 out[z] = d[:k].min(axis=0)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return outs[0] if half is None else tuple(outs)
 
 
-def exit_min_matrix(system: MapSystem, cols: np.ndarray, method: str = "auto",
-                    half: int | None = None):
-    """M[z, j] = min over n of cost(f^n(z), cols[j]) for every sample z.
+def exit_min_matrix(system: MapSystem, cols: np.ndarray, half: int | None = None):
+    """M[z, j] = min over the exit window of cost(f^n(z), cols[j]) for every sample z.
 
-    ``method`` selects the nearest-iterate kernel: "scan" evaluates every
-    orbit entry directly, "indexed" keeps a sorted projection per orbit
-    (1-D coordinates only).  By default tabulated systems gather from the
-    cost table C[p, j] = cost(p, cols[j]): min over k of C[orbit[z, k], j].
-    With coordinates that table is the transposed entry-cost block, because
-    the Euclidean cost is bitwise symmetric; it is built here, row-major so
-    the gather reads contiguous rows, and freed on return.  All methods produce
-    identical floats, because they minimize over the same candidate values.
-    With ``half`` (1 <= half <= horizon), returns the pair (M over the first
-    ``half`` steps, M), the first taken in the same fold as the second.
+    Tabulated systems gather from the cost table C[p, j] = cost(p, cols[j]):
+    min over n of C[orbit[z, n - 1], j].  With coordinates that table is the
+    transposed entry-cost block, because the Euclidean cost is bitwise
+    symmetric; it is built here, row-major so the gather reads contiguous
+    rows, and freed on return.  Sampled systems take the nearest exit point
+    (``nearest_exit_costs``).  With ``half`` (first_step <= half <= horizon),
+    returns the pair (M over steps first_step..half, M), the first taken in
+    the same fold as the second.
     """
-    if system.is_tabulated and (system.space.matrix is not None or method == "auto"):
-        if system.space.matrix is not None:
-            table = system.space.matrix[:, cols]
-        else:
-            table = np.ascontiguousarray(entry_cost_rows(system, cols).T)
-        stops = (system.horizon,) if half is None else (half, system.horizon)
-        outs = [np.empty((system.n, len(cols))) for _ in stops]
-        for a in range(0, system.n, GATHER_ROWS):     # no (n, m) temporary per step
-            orbit = system.orbit_table[a:a + GATHER_ROWS]
-            block = table[orbit[:, 0]]
-            for lo, hi, out in zip((1,) + stops, stops, outs):
-                for k in range(lo, hi):
-                    np.minimum(block, table[orbit[:, k]], out=block)
-                out[a:a + GATHER_ROWS] = block
-        return outs[0] if half is None else tuple(outs)
-    return nearest_exit_costs(_exit_points(system), system.space.coords[cols], method, half)
+    k0 = system.first_step - 1
+    if not system.is_tabulated:
+        return nearest_exit_costs(_exit_points(system), system.space.coords[cols],
+                                  None if half is None else half - k0)
+    if system.space.matrix is not None:
+        table = system.space.matrix[:, cols]
+    else:
+        table = np.ascontiguousarray(entry_cost_rows(system, cols).T)
+    stops = (system.horizon,) if half is None else (half, system.horizon)
+    outs = [np.empty((system.n, len(cols))) for _ in stops]
+    for a in range(0, system.n, GATHER_ROWS):     # no (n, m) temporary per step
+        orbit = system.orbit_table[a:a + GATHER_ROWS]
+        block = table[orbit[:, k0]]
+        for lo, hi, out in zip((k0 + 1,) + stops, stops, outs):
+            for k in range(lo, hi):
+                np.minimum(block, table[orbit[:, k]], out=block)
+            out[a:a + GATHER_ROWS] = block
+    return outs[0] if half is None else tuple(outs)
 
 
 def _pair_level_table(system: MapSystem, x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
-    """All candidate levels for the pair (x, y): (entry costs (n,), levels (n, horizon))."""
+    """All candidate levels for the pair (x, y): (entry costs (n,), levels (n, K))."""
     entry = entry_cost_rows(system, np.array([x]))[0]
     if system.is_tabulated and system.space.matrix is not None:
-        exits = system.space.matrix[system.orbit_table, y]
+        exits = system.space.matrix[system.orbit_table[:, system.first_step - 1:], y]
     else:
         coords = system.space.coords
         cand = _exit_points(system)
@@ -228,8 +215,8 @@ def link_level(system: MapSystem, x: int, y: int) -> tuple[float, LinkWitness]:
 
     Ties are broken by smallest step count, then smallest entry index.  A NaN
     candidate (an iterate that left the finite floats) makes the level NaN, as
-    in ``level_matrix(method="scan")``; the witness is then the first NaN
-    candidate in the same order.
+    in ``level_matrix``; the witness is then the first NaN candidate in the
+    same order.
     """
     if system.n == 0:
         raise ValueError("empty sample set")
@@ -237,7 +224,7 @@ def link_level(system: MapSystem, x: int, y: int) -> tuple[float, LinkWitness]:
     best = lev.min()
     zs, ks = np.nonzero(np.isnan(lev) if np.isnan(best) else lev == best)
     order = np.lexsort((zs, ks))
-    z, k = int(zs[order[0]]), int(ks[order[0]])
+    z, k = int(zs[order[0]]), int(ks[order[0]]) + system.first_step - 1
     wit = LinkWitness(start_index=z, steps=k + 1,
                       start_cost=float(entry[z]), end_cost=_exit_cost(system, z, k, y))
     return float(best), wit
@@ -392,38 +379,52 @@ def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1,
     return out
 
 
-def ordered_product(coords: np.ndarray | None, tg: np.ndarray, n: int,
-                    costs: Callable[[np.ndarray], tuple], threads: int,
-                    half: bool = False) -> tuple[np.ndarray, tuple | None]:
-    """``bottleneck_product(D, M)`` over the targets ``tg``, computed in cell order.
+def level_matrix(system: MapSystem, targets: Iterable[int] | None = None,
+                 threads: int = 1, horizon_check: bool = False) -> LevelMatrix:
+    """Pairwise link levels over the requested samples (all by default).
 
-    ``costs(cols)`` returns the entry costs D (m, n), exit minima M (n, m) and,
-    with ``half``, the half-horizon minima (else None) of the targets ``cols``;
-    they and the (m, m) levels are priced against ``core.MAX_MATRIX_BYTES``
-    first.  D may be an ``EntryCostRows`` view: the product then holds one
-    band's entry costs at a time, though the price still counts the whole D.
-    The half-horizon pass reuses the view, so it recomputes a band's entry
-    costs once per block of ``8 * CELL_COLS`` moved columns.  On the 30x30
-    tail (588 of 900 columns move: three blocks) D is computed five times,
-    the gather's cost table included, yet its analyze is no slower than with
-    D held whole, since 2-D costs are summed per axis (``BENCH_12.json``).
-    The costs are freed before the order is undone, one axis at a time, so
-    the undo holds at most two (m, m) arrays.  Returns the levels and, with
-    ``half``, the changed pairs and largest change at half the horizon.
+    Entry samples z always range over the full sample set regardless of the
+    target subset.  The product ``bottleneck_product(D, M)`` runs over the
+    targets in cell order: D is an ``EntryCostRows`` view, so the product
+    holds one band's entry costs at a time, though the price against
+    ``core.MAX_MATRIX_BYTES`` still counts the whole D beside M and the
+    (m, m) levels.  Row bands may be computed in parallel; the result does not
+    depend on the thread count.  M is freed before the order is undone, one
+    axis at a time, so the undo holds at most two (m, m) arrays.
+
+    With ``horizon_check``, the same pass (one D, one fold of both horizons'
+    exit minima) also runs ``horizon_stability`` and stores its report in the
+    matrix's ``horizon_check``.  Its reduced horizon keeps the first half of
+    the exit window, at least one step.  The half-horizon pass reuses the view, so it
+    recomputes a band's entry costs once per block of ``8 * CELL_COLS`` moved
+    columns.  On the 30x30 tail (588 of 900 columns move: three blocks) D is
+    computed five times, the gather's cost table included, yet its analyze is
+    no slower than with D held whole, since 2-D costs are summed per axis
+    (``BENCH_12.json``).
     """
+    n = system.n
+    if n == 0:
+        raise ValueError("empty sample set")
+    tg = target_indices(n, targets)
     m = len(tg)
-    check_store_size(8 * m * ((3 if half else 2) * n + m),
+    check_store_size(8 * m * ((3 if horizon_check else 2) * n + m),
                      f"the level matrix of {m} targets over {n} samples",
                      "use fewer targets or a coarser grid", cap=core.MAX_MATRIX_BYTES)
-    perm = cell_order(coords, tg)
-    D, M, M_half = costs(tg[perm])
-    if half:        # bit patterns: signed zeros and NaN cannot alias
+    perm = cell_order(system.space.coords, tg)
+    cols = tg[perm]
+    D = EntryCostRows(system, cols)
+    report = None
+    if horizon_check:
+        h2 = system.first_step - 1 + max(1, (system.horizon - system.first_step + 1) // 2)
+        M_half, M = exit_min_matrix(system, cols, half=h2)
+        # bit patterns: signed zeros and NaN cannot alias
         moved = (M.view(np.int64) != M_half.view(np.int64)).any(axis=0)
         M_half = M_half[:, moved]
+    else:
+        M = exit_min_matrix(system, cols)
     L = bottleneck_product(D, M, threads)
     del M
-    change = None
-    if half:
+    if horizon_check:
         # Column j of the levels depends only on D and column j of the exit
         # minima: the unmoved columns keep their floats and count as changed
         # only where NaN.  The half-horizon minima are at least the full ones,
@@ -437,47 +438,15 @@ def ordered_product(coords: np.ndarray | None, tg: np.ndarray, n: int,
             diff = np.abs(short[c] - full[c])
             changed += np.count_nonzero(c) - np.count_nonzero(np.isnan(full))
             top = max(top, np.max(diff, where=~np.isnan(diff), initial=0.0))
-        change = (int(changed + np.count_nonzero(np.isnan(L))), float(top))
-    del D, M_half
-    if not np.array_equal(perm, np.arange(len(tg))):
+        report = HorizonStabilityReport(system.horizon, h2,
+                                        int(changed + np.count_nonzero(np.isnan(L))), float(top))
+        del M_half
+    if not np.array_equal(perm, np.arange(m)):
         inv = np.argsort(perm)
         L = L.take(inv, axis=0)
         L = L.take(inv, axis=1)
-    return L, change
-
-
-def _map_costs(system: MapSystem, method: str, h2: int | None):
-    """``costs`` of ``ordered_product`` for a map: D as an ``EntryCostRows`` view,
-    M and, with ``h2``, M over h2 steps."""
-    def costs(cols: np.ndarray) -> tuple:
-        D = EntryCostRows(system, cols)
-        M = exit_min_matrix(system, cols, method, half=h2)
-        return (D, M, None) if h2 is None else (D, M[1], M[0])
-    return costs
-
-
-def level_matrix(system: MapSystem, targets: Iterable[int] | None = None,
-                 threads: int = 1, method: str = "auto",
-                 horizon_check: bool = False) -> LevelMatrix:
-    """Pairwise link levels over the requested samples (all by default).
-
-    Entry samples z always range over the full sample set regardless of the
-    target subset.  Row bands may be computed in parallel; the result does not
-    depend on the thread count.  With ``horizon_check``, the same pass (one D,
-    one fold of both horizons' exit minima) also runs ``horizon_stability`` and
-    stores its report in the matrix's ``horizon_check``.
-    """
-    n = system.n
-    if n == 0:
-        raise ValueError("empty sample set")
-    tg = target_indices(n, targets)
-    h2 = max(1, system.horizon // 2) if horizon_check else None
-    levels, change = ordered_product(system.space.coords, tg, n,
-                                     _map_costs(system, method, h2), threads, horizon_check)
-    report = None if change is None else HorizonStabilityReport(system.horizon, h2, *change)
-    return LevelMatrix(levels=levels, targets=tg,
-                       horizon=system.horizon, spacing=system.spacing, kind="map",
-                       meta={"name": system.name, "n": n}, horizon_check=report)
+    return LevelMatrix(levels=L, targets=tg, horizon=system.horizon,
+                       spacing=system.spacing, horizon_check=report)
 
 
 def reachable_set(matrix: LevelMatrix, x: int, eps: float) -> np.ndarray:
@@ -495,6 +464,6 @@ def horizon_stability(system: MapSystem, targets: Iterable[int] | None = None,
     A nonzero change count means some level is still improving with longer
     orbits, i.e. the horizon may be too short for the reported resolution.
     The check runs in ``level_matrix``'s pass, which recomputes only the
-    columns whose exit minima move at half the horizon; see ``ordered_product``.
+    columns whose exit minima move at half the horizon.
     """
     return level_matrix(system, targets, threads, horizon_check=True).horizon_check

@@ -4,7 +4,8 @@ Everything here is evaluated straight from the quantifier definitions, without
 the minimum-over-pairs shortcut or the robustness reduction used by the
 engine:
 
-* reachability at budget t enumerates every (entry sample, step count) pair;
+* reachability at budget t enumerates every (entry sample, step count) pair,
+  the step counts ranging over the exit window [first_step, horizon];
 * the limit relation "for every budget above t" is evaluated by sampling all
   candidate budgets above t (transition points of every relation are attained
   cost values, because a max of two costs is one of them; midpoints between
@@ -22,7 +23,7 @@ or a reading of a definition and blocks release.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -34,12 +35,17 @@ from .links import level_matrix
 
 @dataclass(frozen=True)
 class FiniteInstance:
-    """A small explicit system: cost matrix, map table, and derived flags."""
+    """A small explicit system: cost matrix, map table, and derived flags.
+
+    Links leave at steps ``first_step`` to ``horizon``; ``orbit`` holds those
+    iterates.
+    """
 
     cost: np.ndarray        # (n, n)
     table: np.ndarray       # (n,)
     horizon: int
     seed: int | None = None
+    first_step: int = 1
 
     def __post_init__(self):
         n = len(self.table)
@@ -48,7 +54,7 @@ class FiniteInstance:
         for k in range(self.horizon):
             orbit[:, k] = cur
             cur = self.table[cur]
-        object.__setattr__(self, "_orbit", orbit)
+        object.__setattr__(self, "_orbit", orbit[:, self.first_step - 1:])
 
     @property
     def n(self) -> int:
@@ -72,17 +78,21 @@ class FiniteInstance:
         return len(np.unique(self.table)) == self.n
 
     def to_map_system(self):
-        return build_tabulated_system(self.table, horizon=self.horizon,
-                                      cost_matrix=self.cost, name="instance")
+        return replace(build_tabulated_system(self.table, horizon=self.horizon,
+                                              cost_matrix=self.cost, name="instance"),
+                       first_step=self.first_step)
 
 
-def random_instance(seed: int, min_size: int = 2, max_size: int = 8) -> FiniteInstance:
+def random_instance(seed: int, min_size: int = 2, max_size: int = 8,
+                    first_step: int = 1) -> FiniteInstance:
     """Reproducible random instance; cost flavor and map shape cycle with the seed.
 
     Flavors: Euclidean point clouds (metric), symmetrized tables (symmetric,
     no triangle inequality), and independent asymmetric tables.  Every other
     seed uses a permutation map; some seeds plant a degenerate zero or an
-    infinite cost to exercise hypothesis gating.
+    infinite cost to exercise hypothesis gating.  ``first_step`` sets the
+    exit window and draws nothing, so a seed gives the same system for every
+    window.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(min_size, max_size + 1))
@@ -106,7 +116,7 @@ def random_instance(seed: int, min_size: int = 2, max_size: int = 8) -> FiniteIn
     if seed % 7 == 3 and flavor != 0 and n >= 3:
         cost[n - 1, 0] = np.inf
     return FiniteInstance(cost=cost, table=np.asarray(table, dtype=np.int64),
-                          horizon=2 * n, seed=seed)
+                          horizon=2 * n, seed=seed, first_step=first_step)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +288,10 @@ def verify_lemmas(inst: FiniteInstance,
     pos_sets = [np.diagonal(tb.limit_at(t)) for t in tb.ts]
     nested = all(np.all(~a | b) for a, b in zip(pos_sets, pos_sets[1:]))
     record("recurrent_slices_nested", nested)
-    one_step = inst.cost[inst.table, np.arange(n)]
+    # the first exit of x's own orbit bounds lam(x)
+    first_exit = inst.cost[inst.orbit[:, 0], np.arange(n)]
     cover = all(bool(np.diagonal(tb.limit_at(float(v)))[x]) if np.isfinite(v) else True
-                for x, v in enumerate(one_step))
+                for x, v in enumerate(first_exit))
     record("one_step_cover", cover)
     record("top_slice_full", bool(np.all(pos_sets[-1])))
 

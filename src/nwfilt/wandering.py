@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MapSystem
-from .links import LevelMatrix, LinkWitness, link_level
+from .links import LevelMatrix
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,6 @@ class WanderingCertificate:
     z: int
     eps: float     # level(x, z), the excursion budget
     gap: float     # level(z, x) - level(x, z) > 0
-    witness_forward: LinkWitness | None = None
 
     @property
     def return_level(self) -> float:
@@ -32,12 +30,11 @@ class WanderingCertificate:
 
 
 def find_wandering_certificates(matrix: LevelMatrix, min_gap: float,
-                                system: MapSystem | None = None,
                                 limit: int | None = None) -> list[WanderingCertificate]:
     """All pairs with return level exceeding excursion level by at least min_gap.
 
-    Sorted by descending gap, then ascending (x, z).  Pass the system to attach
-    a forward witness to each reported certificate.  An empty list is evidence
+    Sorted by descending gap, then ascending (x, z).  ``link_level(system, x,
+    z)`` gives a certificate's forward witness.  An empty list is evidence
     (not proof) that every sample is robustly recurrent at this resolution.
     """
     if min_gap <= 0:
@@ -53,15 +50,9 @@ def find_wandering_certificates(matrix: LevelMatrix, min_gap: float,
     order = np.lexsort((zs, xs, -gaps))
     if limit is not None:
         order = order[:limit]
-    certs = []
-    for i in order:
-        x, z = int(matrix.targets[xs[i]]), int(matrix.targets[zs[i]])
-        wit = None
-        if system is not None:
-            _, wit = link_level(system, x, z)
-        certs.append(WanderingCertificate(x=x, z=z, eps=float(L[xs[i], zs[i]]),
-                                          gap=float(gaps[i]), witness_forward=wit))
-    return certs
+    return [WanderingCertificate(x=int(matrix.targets[xs[i]]), z=int(matrix.targets[zs[i]]),
+                                 eps=float(L[xs[i], zs[i]]), gap=float(gaps[i]))
+            for i in order]
 
 
 def certify_point(matrix: LevelMatrix, x: int, z: int,

@@ -28,6 +28,13 @@ def f2_spec(tmp_path, h=0.02, box=(-2.0, 2.0)):
     })
 
 
+def flow_spec(name):
+    """A small semiflow spec: 81 samples, durations 1 to 6 on a 0.02 grid."""
+    return {"kind": "semiflow", "source": {"builtin": name},
+            "grid": {"box": [[-2.0, 2.0]], "h": 0.05},
+            "horizon": {"dt": 0.02, "t_min": 1.0, "t_max": 6.0}}
+
+
 class TestAnalyze:
     def test_levels_csv(self, tmp_path, capsys):
         spec = f2_spec(tmp_path, h=0.02, box=(-5.0, 5.0))
@@ -217,6 +224,14 @@ class TestAnalyze:
             captured = capsys.readouterr()
             assert captured.out == "" and "'bogus'" in captured.err
 
+    def test_golden_flow_stdout(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "fy.json", flow_spec("flow_Y"))
+        for threads in ("1", "2", "3"):
+            assert main(["analyze", spec, "--threads", threads]) == 0
+            stdout = capsys.readouterr().out.encode()
+            assert hashlib.sha256(stdout).hexdigest() == (
+                "8f49f159f252428fcf3b95293dae03054b6718c7db9681c47bd7b1d5082d1463")
+
     def test_box_dimension_must_match_the_builtin(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "b.json", {
             "kind": "map", "source": {"builtin": "f2"},
@@ -330,6 +345,19 @@ class TestDiagram:
         slice_sizes = [len(s["members"]) for s in payload["slices"]]
         assert slice_sizes == sorted(slice_sizes)
         assert svg.read_bytes().startswith(b"<svg")
+
+    def test_golden_flow_stdout_and_svg(self, tmp_path, capsys):
+        """The semiflow path end to end: JSON and SVG bytes at every thread count."""
+        spec = write_spec(tmp_path, "att.json", flow_spec("flow_att"))
+        svg = tmp_path / "d.svg"
+        for threads in ("1", "2", "3"):
+            assert main(["diagram", spec, "--eps-max", "1", "--eps-step", "0.25",
+                         "--svg", str(svg), "--threads", threads]) == 0
+            stdout = capsys.readouterr().out.encode()
+            assert hashlib.sha256(stdout).hexdigest() == (
+                "792f8b7d14c6433ce5ef5a54aba9600ee04c3bf79758c596d6992d570d0948c3")
+            assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+                "4f151e6e3a5d25925fd1c6461ae362a9ad4a0f3cdcc870a57a55939d4591541f")
 
     def test_zero_step_rejected(self, tmp_path):
         spec = f2_spec(tmp_path)

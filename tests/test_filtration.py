@@ -4,7 +4,7 @@ import pytest
 from nwfilt.builtins import build_grid_system, counterexample_tail, tail_start_index
 from nwfilt.core import build_tabulated_system, neg_level, pos_level
 from nwfilt.filtration import (critical_levels, diagram, nw_level, omega_membership,
-                               omega_slice, robustness_level, summarize,
+                               omega_slice, summarize,
                                coordinate_intervals)
 from nwfilt import filtration
 from nwfilt.links import LevelMatrix, level_matrix, link_level
@@ -57,10 +57,9 @@ class TestRecurrenceLevel:
 
 class TestRobustnessLevel:
     def test_frozen_half_line(self, f_rep):
-        sys, mat, summ = f_rep
+        sys, _, summ = f_rep
         i = sys.index_of(-1.0)
         assert abs(summ.beta[i] - 1.0) <= 0.02
-        assert robustness_level(mat, i, 0.02) == summ.beta[i]
 
     def test_identity_is_fully_robust(self):
         sys = build_grid_system("identity", box=[[-1, 1]], spacing=0.1, horizon=8)
@@ -74,12 +73,6 @@ class TestRobustnessLevel:
     def test_undefined_outside_gate(self, f2):
         sys, _, summ = f2
         assert np.isnan(summ.beta[sys.index_of(3.0)])
-
-    def test_incomplete_matrix_rejected(self, f2):
-        sys, _, _ = f2
-        sub = level_matrix(sys, targets=[0, 1, 2])
-        with pytest.raises(ValueError):
-            robustness_level(sub, 0, 0.02)
 
 
 class TestMembership:
@@ -213,13 +206,6 @@ class TestStructuralLaws:
             neg0 = omega_slice(summ, neg_level(0.0))
             pos0 = omega_slice(summ, pos_level(0.0))
             np.testing.assert_array_equal(neg0, pos0)
-
-    def test_minus_zero_relation_diagnostic(self, two_point):
-        _, _, summ = two_point
-        # from b nothing cheap leaves that cannot return; from a the image b
-        # is reachable at zero cost but cannot come back at zero cost
-        assert bool(summ.minus_zero_relation_holds[1])
-        assert not bool(summ.minus_zero_relation_holds[0])
 
 
 class TestSummaryBands:

@@ -6,7 +6,7 @@ import pytest
 import nwfilt.flows as flows
 from nwfilt.builtins import build_builtin_flow, builtin, builtin_names
 from nwfilt.core import neg_level, pos_level
-from nwfilt.filtration import omega_slice, robustness_level, summarize
+from nwfilt.filtration import omega_slice, summarize
 from nwfilt.flows import (RK4_BLOCK, IntegrationError, build_flow_system, flow_level_matrix,
                           flow_link_level, integrate)
 
@@ -145,7 +145,7 @@ class TestFlowLinkLevels:
         i1 = sys.index_of(1.0)
         lvl, wit = flow_link_level(sys, i1, i1)
         assert abs(lvl - best) <= 0.02
-        assert wit.duration >= 2.0
+        assert wit.steps * sys.dt >= 2.0
 
     def test_rest_point_is_free(self, repelling):
         i0 = repelling.index_of(0.0)
@@ -206,14 +206,13 @@ class TestFlowLevels:
         np.testing.assert_array_equal(summ.lam, np.abs(xs))
 
     def test_attracting_origin_fully_robust(self, attracting):
-        m = flow_level_matrix(attracting)
-        assert robustness_level(m, attracting.index_of(0.0), 0.1) == np.inf
+        summ = summarize(flow_level_matrix(attracting), zero_tol=0.1)
+        assert summ.beta[attracting.index_of(0.0)] == np.inf
 
     def test_frozen_half_line_robustness(self):
         sys = build_builtin_flow("flow_rep", box=[[-3, 3]], spacing=0.02,
                                  dt=0.01, t_min=1.0, t_max=20.0)
-        m = flow_level_matrix(sys)
-        b = robustness_level(m, sys.index_of(-1.0), 0.04)
+        b = summarize(flow_level_matrix(sys), zero_tol=0.04).beta[sys.index_of(-1.0)]
         assert abs(b - 1.0) <= 0.03
 
     def test_all_rest_field_is_fully_robust(self):
@@ -264,7 +263,8 @@ class TestSystemValidation:
                                   t_max=t_max)
 
     def test_trajectories_are_one_c_contiguous_store(self):
-        # the trajectories, one RK4 block and 1 MiB of small temporaries
+        # the trajectories, one RK4 block and 1 MiB of small temporaries; the
+        # orbit store is a view of it after t = 0
         n, steps = 601, 1000
         store = n * (steps + 1) * 8
         tracemalloc.start()
@@ -275,5 +275,9 @@ class TestSystemValidation:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert sys.traj.shape == (n, steps + 1, 1) and sys.traj.flags.c_contiguous
+        traj = sys.orbit_coords.base
+        assert traj.shape == (n, steps + 1, 1) and traj.flags.c_contiguous
+        assert sys.orbit_coords.shape == (n, steps, 1) and sys.horizon == steps
+        np.testing.assert_array_equal(traj[:, 0], sys.space.coords)
+        assert np.shares_memory(sys.orbit_coords, traj[:, 1:])
         assert peak <= store + RK4_BLOCK * n * 8 + 2**20

@@ -6,10 +6,9 @@ import pytest
 
 from nwfilt.builtins import (build_builtin_flow, build_grid_system, builtin,
                              builtin_names, counterexample_tail)
-from nwfilt.core import ResourceLimitError, build_sampled_system, build_tabulated_system
+from nwfilt.core import (CostSpace, MapSystem, ResourceLimitError, build_sampled_system,
+                         build_tabulated_system)
 from nwfilt import core, links
-from nwfilt.flows import flow_exit_min
-from nwfilt.flows import flow_level_matrix
 from nwfilt.links import (EntryCostRows, HorizonStabilityReport, bottleneck_product,
                           cell_order, entry_cost_rows, exit_min_matrix, horizon_stability,
                           level_matrix, link_level, nearest_exit_costs, reachable_set,
@@ -24,7 +23,7 @@ def euclid(a, b):
 
 
 def brute_pair_level(system, x, y):
-    """Independent per-pair enumeration over every (entry, step) candidate."""
+    """Independent per-pair enumeration over every (entry, exit-window step) candidate."""
     best = np.inf
     coords = system.space.coords
     use_matrix = system.space.matrix is not None
@@ -34,7 +33,7 @@ def brute_pair_level(system, x, y):
         else:
             entry = euclid(coords[x], coords[z])
         pts = None if use_matrix else system.orbit_points(z)
-        for k in range(system.horizon):
+        for k in range(system.first_step - 1, system.horizon):
             if use_matrix:
                 exit_ = system.space.matrix[system.orbit_table[z, k], y]
             else:
@@ -51,6 +50,32 @@ def brute_product(D, M):
     return out
 
 
+def scan_exit_min(system, cols, half=None):
+    """Reference exit minima: the cost of every exit point at steps first_step to
+    ``half`` (default: the horizon) to every target, minimized in step order, so
+    that a NaN exit point makes its row NaN."""
+    window = slice(system.first_step - 1, system.horizon if half is None else half)
+    if system.space.matrix is not None:
+        return system.space.matrix[system.orbit_table[:, window, None], cols].min(axis=1)
+    points = (system.space.coords[system.orbit_table] if system.is_tabulated
+              else system.orbit_coords)[:, window]
+    targets = system.space.coords[cols]
+    out = np.empty((system.n, len(cols)))
+    for z, cand in enumerate(points):
+        if targets.shape[1] == 1:
+            out[z] = np.abs(cand[:, None, 0] - targets[None, :, 0]).min(axis=0)
+        else:
+            diff = cand[:, None, :] - targets[None, :, :]
+            out[z] = np.sqrt(np.sum(diff * diff, axis=2)).min(axis=0)
+    return out
+
+
+def scan_levels(system):
+    """Reference level matrix: the full product of the scanned exit minima."""
+    tg = np.arange(system.n)
+    return brute_product(entry_cost_rows(system, tg), scan_exit_min(system, tg))
+
+
 def product_inputs(name):
     """Entry costs and exit minima of a builtin on a small grid."""
     kind = builtin(name).kind
@@ -59,8 +84,6 @@ def product_inputs(name):
     elif kind == "semiflow":
         sys = build_builtin_flow(name, box=[[-2, 2]], spacing=0.03, dt=0.05,
                                  t_min=0.5, t_max=3.0)
-        tg = np.arange(sys.n)
-        return entry_cost_rows(sys, tg), flow_exit_min(sys, tg, sys.time_index(0.5))
     else:
         sys = counterexample_tail(9, 8)
     tg = np.arange(sys.n)
@@ -220,7 +243,9 @@ class TestWitnesses:
         witness is the first NaN candidate by step count, then entry index, and
         its level and recomputed level stay NaN.  At horizon 1 no iterate is NaN."""
         sys = nan_orbit(horizon)
-        scan = level_matrix(sys, method="scan").levels
+        scan = scan_levels(sys)
+        assert level_matrix(sys).levels.tobytes() == scan.tobytes()
+        assert np.isnan(scan).all() == (horizon > 1)
         first_nan = (2, sys.index_of(-0.7))    # -0.7 -> 0.123 -> NaN
         for x in range(sys.n):
             for y in range(sys.n):
@@ -236,9 +261,7 @@ class TestWitnesses:
 
 class TestDeterminismAndMethods:
     def test_scan_and_indexed_paths_identical(self, f2_small):
-        a = level_matrix(f2_small, method="scan")
-        b = level_matrix(f2_small, method="indexed")
-        np.testing.assert_array_equal(a.levels, b.levels)
+        assert level_matrix(f2_small).levels.tobytes() == scan_levels(f2_small).tobytes()
 
     def test_thread_count_does_not_change_bits(self, f2_small):
         a = level_matrix(f2_small, threads=1)
@@ -255,12 +278,6 @@ class TestDeterminismAndMethods:
     def test_empty_targets_rejected(self, f2_small):
         with pytest.raises(ValueError):
             level_matrix(f2_small, targets=[])
-
-    def test_indexed_requires_one_dim(self):
-        sys = build_tabulated_system([0, 1], horizon=2,
-                                     coords=np.array([[0.0, 0.0], [1.0, 1.0]]))
-        with pytest.raises(ValueError):
-            exit_min_matrix(sys, np.arange(2), method="indexed")
 
 
 class TestBottleneckProduct:
@@ -331,10 +348,9 @@ class TestBottleneckProduct:
         f2 = build_grid_system("f2", box=[[-3, 3]], spacing=0.01, horizon=16)
         flow = build_builtin_flow("flow_att", box=[[-2, 2]], spacing=0.01, dt=0.05,
                                   t_min=0.5, t_max=3.0)
-        for sys, exit_min in ((f2, lambda tg: exit_min_matrix(f2, tg)),
-                              (flow, lambda tg: flow_exit_min(flow, tg, flow.time_index(0.5)))):
+        for sys in (f2, flow):
             tg = np.arange(1, sys.n, 2)                 # m = 300 of n = 601 or 401
-            assert_product_matches(monkeypatch, entry_cost_rows(sys, tg), exit_min(tg))
+            assert_product_matches(monkeypatch, entry_cost_rows(sys, tg), exit_min_matrix(sys, tg))
 
     def test_threads_below_one_rejected(self):
         with pytest.raises(ValueError, match="threads"):
@@ -353,9 +369,7 @@ class TestBottleneckProduct:
                         coords=rng.uniform(-1, 1, (n, d))))
         for sys in systems:
             for cols in (np.arange(sys.n), np.array([0, 3, 5]) % sys.n):
-                np.testing.assert_array_equal(
-                    exit_min_matrix(sys, cols).tobytes(),
-                    exit_min_matrix(sys, cols, method="scan").tobytes())
+                assert exit_min_matrix(sys, cols).tobytes() == scan_exit_min(sys, cols).tobytes()
 
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
     @pytest.mark.parametrize("horizon", [1, 7])
@@ -580,80 +594,67 @@ class TestWindowFilter:
 
 class TestTwoHorizonExitMin:
     """exit_min_matrix(..., half=h2) folds both horizons in one pass; each result
-    equals the exit minima of its own system bit for bit."""
+    equals the exit minima of its own system and the scanned ones bit for bit."""
 
     @staticmethod
-    def check(system, methods=("auto",)):
-        h2 = max(1, system.horizon // 2)
-        for method in methods:
-            for cols in (np.arange(system.n), np.array([0, 3, 5]) % system.n):
-                got_half, got_full = exit_min_matrix(system, cols, method, half=h2)
-                want_half = exit_min_matrix(half_horizon(system), cols, method)
-                assert got_half.tobytes() == want_half.tobytes()
-                assert got_full.tobytes() == exit_min_matrix(system, cols, method).tobytes()
+    def check(system):
+        h2 = half_horizon(system).horizon
+        for cols in (np.arange(system.n), np.array([0, 3, 5]) % system.n):
+            got_half, got_full = exit_min_matrix(system, cols, half=h2)
+            want_half = exit_min_matrix(half_horizon(system), cols)
+            assert got_half.tobytes() == want_half.tobytes()
+            assert got_half.tobytes() == scan_exit_min(system, cols, h2).tobytes()
+            assert got_full.tobytes() == exit_min_matrix(system, cols).tobytes()
+            assert got_full.tobytes() == scan_exit_min(system, cols).tobytes()
 
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
     @pytest.mark.parametrize("horizon", [1, 2, 7, 62])
     def test_coordinate_and_cost_tables(self, n, horizon):
         for d in (1, 2):
-            self.check(coordinate_table(n, d, horizon, seed=n + horizon + d),
-                       methods=("auto", "scan"))
+            self.check(coordinate_table(n, d, horizon, seed=n + horizon + d))
         self.check(cost_table(n, horizon, seed=n * horizon))
 
     @pytest.mark.parametrize("horizon", [1, 2, 7, 62])
     def test_sampled_grids(self, horizon):
         line = build_grid_system("f2", box=[[-2, 2]], spacing=0.05, horizon=horizon)
-        self.check(line, methods=("auto", "indexed", "scan"))
+        self.check(line)
         plane = build_sampled_system(
             lambda p: np.stack([np.sin(2.0 * p[:, 1]), 0.8 * p[:, 0]], axis=1),
             box=[[-1, 1], [-1, 1]], spacing=0.25, horizon=horizon)
         self.check(plane)
 
     def test_nan_iterates_are_not_merged_across_the_split(self):
-        """Orbits that turn NaN late: a whole-row sort puts the NaN last and
-        finds a finite nearest iterate, where the late half alone gives NaN."""
+        """Orbits that turn NaN late: the half-horizon row stays finite and the
+        full-horizon row is NaN, as the scan gives, though the NaN sorts last."""
         system = build_sampled_system(lambda x: np.where(np.abs(x) < 0.15, np.nan, 0.5 * x),
                                       box=[[-2, 2]], spacing=0.1, horizon=8)
         assert np.isnan(system.orbit_coords[:, 4:]).any()
-        self.check(system, methods=("indexed", "scan"))
-        _, full = exit_min_matrix(system, np.arange(system.n), "indexed", half=4)
-        late = exit_min_matrix(replace(system, orbit_coords=system.orbit_coords[:, 4:], horizon=4),
-                               np.arange(system.n), "indexed")
-        merged = np.minimum(exit_min_matrix(half_horizon(system), np.arange(system.n), "indexed"), late)
-        assert (np.isnan(merged) & ~np.isnan(full)).any()
+        self.check(system)
+        half, full = exit_min_matrix(system, np.arange(system.n), half=4)
+        early = np.isnan(system.orbit_coords[:, :4, 0]).any(axis=1)
+        late = np.isnan(system.orbit_coords[:, 4:, 0]).any(axis=1)
+        assert (late & ~early).any()
+        assert np.isnan(full[late]).all() and not np.isnan(half[~early]).any()
 
-
-    @staticmethod
-    def clipped_indexed(cand, t, k):
-        """The indexed kernel as it clipped its search positions into range."""
-        out = np.empty((len(cand), len(t)))
-        for z in range(len(cand)):
-            s = np.sort(cand[z, :k])
-            pos = np.searchsorted(s, t)
-            out[z] = np.minimum(np.abs(t - s[np.clip(pos - 1, 0, len(s) - 1)]),
-                                np.abs(s[np.clip(pos, 0, len(s) - 1)] - t))
-        return out
 
     @pytest.mark.parametrize("horizon", [1, 2, 5, 8])
     def test_indexed_ends(self, horizon):
         """Horizon 1 leaves one iterate per prefix, and some targets lie below or
         above every iterate: the padded ends select the scan's floats.  With NaN
-        iterates (sorted last) the kernel selects the floats it selected with
-        clipped search positions."""
+        iterates (sorted last) each row holding one is NaN, as in the scan."""
         rng = np.random.default_rng(horizon)
         cand = rng.uniform(-1.0, 1.0, (40, horizon, 1))
         t = np.concatenate([[-5.0, -1.0, 1.0, 5.0], cand[:4, 0, 0],
                             rng.uniform(-1.5, 1.5, 20)])
         half = max(1, horizon // 2)
-        for got, want in zip(nearest_exit_costs(cand, t[:, None], "indexed", half=half),
-                             nearest_exit_costs(cand, t[:, None], "scan", half=half)):
-            assert got.tobytes() == want.tobytes()
-        cand[::3, rng.integers(0, horizon)] = np.nan
-        cand[5] = np.nan
-        cand[7, horizon // 2:] = np.nan
-        for got, k in zip(nearest_exit_costs(cand, t[:, None], "indexed", half=half),
-                          (half, horizon)):
-            assert got.tobytes() == self.clipped_indexed(cand[:, :, 0], t, k).tobytes()
+        for nan in (False, True):
+            if nan:
+                cand[::3, rng.integers(0, horizon)] = np.nan
+                cand[5] = np.nan
+                cand[7, horizon // 2:] = np.nan
+            for got, k in zip(nearest_exit_costs(cand, t[:, None], half=half), (half, horizon)):
+                want = np.abs(cand[:, :k, 0, None] - t[None, None, :]).min(axis=1)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestEntryCostRows:
@@ -726,7 +727,7 @@ class TestLevelMatrixMemory:
     def test_flow(self):
         system = build_builtin_flow("flow_att", box=[[-3, 3]], spacing=0.005, dt=0.01,
                                     t_min=1.0, t_max=20.0)
-        peak = traced_peak(lambda: flow_level_matrix(system))
+        peak = traced_peak(lambda: level_matrix(system))
         assert peak < self.BOUND * 8 * system.n ** 2
 
     def test_coordinate_table(self):
@@ -788,7 +789,8 @@ class TestHorizonStability:
 
 
 def half_horizon(system):
-    h2 = max(1, system.horizon // 2)
+    """The system cut to the first half of its exit window, at least one step."""
+    h2 = system.first_step - 1 + max(1, (system.horizon - system.first_step + 1) // 2)
     if system.is_tabulated:
         return replace(system, horizon=h2, orbit_table=system.orbit_table[:, :h2])
     return replace(system, horizon=h2, orbit_coords=system.orbit_coords[:, :h2])
@@ -829,8 +831,9 @@ def coordinate_table(n, d, horizon, seed):
 
 def nan_orbit(horizon):
     """x -> -x on a grid, except that x = -0.7 steps off the grid to 0.123,
-    whose next iterate is NaN: whole columns of levels are NaN, and at
-    horizon 6 none of them moves."""
+    whose next iterate is NaN: from horizon 2 on, every level is NaN.  The
+    sample 0.7 meets the NaN at step 3, so at horizons 4 and 5 its exit minima
+    are finite only at half the horizon; at horizon 6 no exit minimum moves."""
     return build_sampled_system(
         lambda x: np.where(np.abs(x + 0.7) < 1e-6, 0.123,
                            np.where(np.abs(x - 0.123) < 1e-6, np.nan, -x)),
@@ -856,8 +859,12 @@ MOVED_CASES = {
     "cycle_inf_h12": (lambda: cost_table(12, 12, 0, cycle=True), None, "all"),
     "cycle_inf_h31": (lambda: cost_table(40, 31, 1, cycle=True), None, "all"),
     "nan_orbit_h3": (lambda: nan_orbit(3), None, "all"),
-    "nan_orbit_h4": (lambda: nan_orbit(4), None, "some"),
+    "nan_orbit_h4": (lambda: nan_orbit(4), None, "all"),
     "nan_orbit_h6": (lambda: nan_orbit(6), None, "none"),
+    "nan_f2_h3": (lambda: build_sampled_system(
+        lambda x: np.where(np.abs(x + 0.95) < 1e-6, np.nan, 2.0 * x),
+        box=[[-2, 2]], spacing=0.05, horizon=3), None, "some"),
+    "tail_window": (lambda: replace(counterexample_tail(10, 8), first_step=3), None, "some"),
 }
 
 
@@ -925,3 +932,79 @@ class TestHorizonMovedColumns:
                 level_matrix(f2_small, tg, horizon_check=check)
             monkeypatch.setattr(core, "MAX_MATRIX_BYTES", price)
             level_matrix(f2_small, tg, horizon_check=check)
+
+
+def window_systems(first_step):
+    """Tables, grids and a plane whose links leave at steps first_step..7."""
+    plane = build_sampled_system(
+        lambda p: np.stack([np.sin(2.0 * p[:, 1]), 0.8 * p[:, 0]], axis=1),
+        box=[[-1, 1], [-1, 1]], spacing=0.25, horizon=7)
+    systems = [cost_table(40, 7, seed=first_step), coordinate_table(50, 1, 7, seed=first_step),
+               coordinate_table(50, 2, 7, seed=first_step + 10),
+               counterexample_tail(8, 6, horizon=7),
+               build_grid_system("f2", box=[[-2, 2]], spacing=0.05, horizon=7), plane]
+    return [replace(s, first_step=first_step) for s in systems]
+
+
+class TestExitWindow:
+    """Links that leave at steps first_step..horizon: the exit minima, the levels,
+    the witnesses and the horizon check all skip the steps before the window."""
+
+    @pytest.mark.parametrize("first_step", [2, 3])
+    def test_levels_witnesses_and_horizon_check(self, monkeypatch, first_step):
+        rng = np.random.default_rng(first_step)
+        for system in window_systems(first_step):
+            TestTwoHorizonExitMin.check(system)
+            want = scan_levels(system)
+            for threads in (1, 2, 3):
+                assert level_matrix(system, threads=threads).levels.tobytes() == want.tobytes()
+            for x, y in rng.integers(0, system.n, size=(15, 2)):
+                lvl, wit = link_level(system, int(x), int(y))
+                assert lvl == want[x, y] == brute_pair_level(system, x, y)
+                assert first_step <= wit.steps <= system.horizon
+                assert recompute_witness_level(system, int(x), int(y), wit) == lvl
+            TestHorizonMovedColumns.check(monkeypatch, system, None)
+
+    def test_window_moves_the_levels(self):
+        f2 = build_grid_system("f2", box=[[-2, 2]], spacing=0.05, horizon=7)
+        one, three = level_matrix(f2).levels, level_matrix(replace(f2, first_step=3)).levels
+        assert (three >= one).all() and (three > one).any()
+
+    @pytest.mark.parametrize("first_step", [0, 8])
+    def test_window_must_fit_the_horizon(self, first_step):
+        f2 = build_grid_system("f2", box=[[-2, 2]], spacing=0.05, horizon=7)
+        with pytest.raises(ValueError, match="first_step"):
+            replace(f2, first_step=first_step)
+
+
+def nan_iterates(n, d, horizon, first_step, seed):
+    """Random raw orbits with one NaN iterate in each of a few rows: before the
+    exit window, in its first half or only in its second."""
+    rng = np.random.default_rng(seed)
+    orbits = rng.uniform(-1.5, 1.5, (n, horizon, d))
+    for z in rng.choice(n, 5, replace=False):
+        orbits[z, rng.integers(0, horizon), rng.integers(0, d)] = np.nan
+    return MapSystem(space=CostSpace(coords=rng.uniform(-1.0, 1.0, (n, d))), horizon=horizon,
+                     orbit_coords=orbits, first_step=first_step)
+
+
+class TestNanIterates:
+    """One NaN rule: a NaN exit point makes its row of exit minima NaN, and so
+    every level, in level_matrix, link_level and the scan alike."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("first_step", [1, 2, 3])
+    def test_random_tables(self, d, first_step):
+        for seed in range(4):
+            system = nan_iterates(30, d, 6, first_step, seed=seed + 10 * d)
+            TestTwoHorizonExitMin.check(system)
+            want = scan_levels(system)
+            assert level_matrix(system).levels.tobytes() == want.tobytes()
+            nan = np.isnan(system.orbit_coords[:, first_step - 1:]).any(axis=2)
+            assert nan.any() and np.isnan(want).all()
+            steps, starts = np.nonzero(nan.T)           # step-major: the witness order
+            for x in range(0, system.n, 7):
+                for y in range(system.n):
+                    lvl, wit = link_level(system, x, y)
+                    assert np.isnan(lvl)
+                    assert (wit.steps, wit.start_index) == (steps[0] + first_step, starts[0])

@@ -86,6 +86,27 @@ class TestVerifyLemmas:
         assert verify_lemmas(inst).ok
 
 
+class TestExitWindow:
+    """Random instances whose links leave at steps first_step..horizon only, the
+    finite form of a semiflow's duration floor."""
+
+    @pytest.mark.parametrize("first_step", [2, 3])
+    def test_reductions_hold_on_the_window(self, first_step):
+        for seed in range(60):
+            inst = random_instance(seed, first_step=first_step)
+            report = verify_lemmas(inst)
+            assert report.ok, (seed, report.failures)
+            status = {c.name: c.status for c in report.checks}
+            assert status["reduction_equivalence"] == "pass"
+            assert status["level_threshold_equivalence"] == "pass"
+
+    def test_window_draws_the_same_instance(self):
+        for seed in range(20):
+            a, b = random_instance(seed), random_instance(seed, first_step=3)
+            assert a.cost.tobytes() == b.cost.tobytes() and a.table.tobytes() == b.table.tobytes()
+            np.testing.assert_array_equal(b.orbit, a.orbit[:, 2:])
+
+
 class TestHorizonAdequacy:
     def test_doubling_horizon_changes_nothing(self):
         for seed in range(100):

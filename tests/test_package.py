@@ -25,8 +25,8 @@ PUBLIC = {
     "links": ["LevelMatrix", "LinkWitness", "level_matrix", "link_level",
               "horizon_stability", "reachable_set", "recompute_witness_level"],
     "filtration": ["DiagramSlice", "LevelSummary", "critical_levels", "diagram", "nw_level",
-                   "omega_membership", "omega_slice", "robustness_level", "summarize"],
-    "flows": ["FlowLinkWitness", "SemiflowSystem", "build_flow_system",
+                   "omega_membership", "omega_slice", "summarize"],
+    "flows": ["SemiflowSystem", "build_flow_system",
               "flow_level_matrix", "flow_link_level", "integrate"],
     "wandering": ["WanderingCertificate", "certify_point", "find_wandering_certificates"],
     "builtins": ["BuiltinSystem", "analytic_level", "builtin", "builtin_names",

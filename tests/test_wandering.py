@@ -3,7 +3,7 @@ import pytest
 
 from nwfilt.builtins import build_grid_system
 from nwfilt.core import build_tabulated_system
-from nwfilt.links import level_matrix
+from nwfilt.links import level_matrix, link_level
 from nwfilt.wandering import certify_point, find_wandering_certificates
 
 
@@ -23,12 +23,13 @@ def f2():
 class TestDetector:
     def test_one_way_pair_is_certified(self, two_point):
         sys, mat = two_point
-        certs = find_wandering_certificates(mat, 0.5, system=sys)
+        certs = find_wandering_certificates(mat, 0.5)
         assert len(certs) == 1
         c = certs[0]
         assert (c.x, c.z) == (0, 1)
         assert c.eps == 0.0 and c.gap == 1.0
-        assert c.witness_forward.level == 0.0
+        lvl, wit = link_level(sys, c.x, c.z)
+        assert lvl == wit.level == c.eps
 
     def test_identity_map_clean(self):
         sys = build_grid_system("identity", box=[[-1, 1]], spacing=0.05, horizon=8)
