@@ -33,9 +33,9 @@ import numpy as np
 # metrics without an error.  Only the oracle, which no traced target uses, is
 # imported by `verify` alone.
 from .core import ExtendedLevel, Branch, ResourceLimitError
-from .filtration import diagram, summarize
+from .filtration import diagram, level_summary, summarize
 from .flows import IntegrationError
-from .links import level_matrix
+from .links import level_matrix, reduced_horizon, reduced_window
 from .export import (build_document, export_diagram_json, export_levels_csv,
                      render_svg)
 from .specfile import LoadedSystem, SpecError, instance_to_spec, load_system
@@ -47,11 +47,6 @@ EXIT_SPEC = 2
 EXIT_RESOURCE = 3
 MAX_BUDGETS = 10_000   # diagram budgets from --eps-min to --eps-max, the gate before any work
 HORIZON_CHECK_CAP = 2048   # largest n for which analyze runs the horizon check
-
-
-def _matrix_and_summary(loaded: LoadedSystem, threads: int, horizon_check: bool = False):
-    matrix = level_matrix(loaded.system, threads=threads, horizon_check=horizon_check)
-    return matrix, summarize(matrix, zero_tol=loaded.tau)
 
 
 def _coords(loaded: LoadedSystem):
@@ -82,32 +77,61 @@ def _diag(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _changes(full: np.ndarray, half: np.ndarray) -> tuple[int, float]:
+    """How many levels differ (NaN equals NaN), and the largest numeric change."""
+    changed = ~((full == half) | (np.isnan(full) & np.isnan(half)))
+    diff = np.abs(half[changed] - full[changed])
+    return np.count_nonzero(changed), float(np.max(diff, where=~np.isnan(diff), initial=0.0))
+
+
+def _horizon_line(full, half) -> str:
+    """stable, or the samples whose lam and whose beta differ at the reduced horizon."""
+    (k, a), (j, b) = _changes(full.lam, half.lam), _changes(full.beta, half.beta)
+    if k == j == 0:
+        return "stable"
+    return f"lam changed on {k} samples (max {a:.3g}), beta on {j} (max {b:.3g})"
+
+
 def cmd_analyze(args) -> int:
     _check_writable(args.out, args.matrix_out)
     loaded = load_system(args.spec)
-    check = loaded.kind == "map" and loaded.system.n <= HORIZON_CHECK_CAP
-    matrix, summary = _matrix_and_summary(loaded, args.threads, check)
+    system, is_map = loaded.system, loaded.kind == "map"
+    check = system.n <= HORIZON_CHECK_CAP
+    # A map's check folds both horizons' exit minima into the pass, priced
+    # with both.  A flow's pass is priced with one, so its check is a second
+    # pass over the reduced window, which holds only that window's minima.
     if args.matrix_out:
+        matrix = level_matrix(system, threads=args.threads, horizon_check=check and is_map)
+        summary = summarize(matrix, zero_tol=loaded.tau)
         header = ",".join(str(int(t)) for t in matrix.targets)
         rows = "\n".join(",".join(f"{v:.9g}" for v in row) for row in matrix.levels)
         Path(args.matrix_out).write_bytes((header + "\n" + rows + "\n").encode())
+    elif check and is_map:
+        summary, half = level_summary(system, loaded.tau, args.threads, horizon_check=True)
+    else:
+        summary = level_summary(system, loaded.tau, args.threads)
+    if check and not is_map:
+        half = level_summary(reduced_window(system), loaded.tau, args.threads)
     _write(args.out, export_levels_csv(summary, _coords(loaded)))
     meta = loaded.meta
-    if loaded.kind == "map":
-        _diag(f"{loaded.name}: n={loaded.system.n} h={meta.get('h')} "
-              f"n_max={loaded.system.horizon} tau={loaded.tau:.9g}")
-        if check:
-            rep = matrix.horizon_check
-            state = "stable" if rep.stable else f"{rep.changed_pairs} pairs changed (max {rep.max_change:.3g})"
-            _diag(f"horizon check at n_max={rep.reduced_horizon}: {state}")
-        else:
-            _diag(f"horizon check skipped: n={loaded.system.n} > {HORIZON_CHECK_CAP}")
+    if is_map:
+        _diag(f"{loaded.name}: n={system.n} h={meta.get('h')} "
+              f"n_max={system.horizon} tau={loaded.tau:.9g}")
+        at = f"n_max={reduced_horizon(system)}"
     else:
         hz = meta["horizon"]
-        _diag(f"{loaded.name}: n={loaded.system.n} h={meta.get('h')} dt={hz['dt']} "
+        _diag(f"{loaded.name}: n={system.n} h={meta.get('h')} dt={hz['dt']} "
               f"T={hz['t_min']} t_max={hz['t_max']} tau={loaded.tau:.9g} "
-              f"(levels computed at the largest duration floor T; the gap to "
-              f"unbounded durations is unquantified)")
+              f"(levels computed at the largest duration floor T)")
+        at = f"t_max={reduced_horizon(system) * system.dt:.6g}"
+    if not check:
+        _diag(f"horizon check skipped: n={system.n} > {HORIZON_CHECK_CAP}")
+    elif args.matrix_out and is_map:
+        rep = matrix.horizon_check
+        state = "stable" if rep.stable else f"{rep.changed_pairs} pairs changed (max {rep.max_change:.3g})"
+        _diag(f"horizon check at {at}: {state}")
+    else:
+        _diag(f"horizon check at {at}: {_horizon_line(summary, half)}")
     return EXIT_OK
 
 
@@ -136,7 +160,7 @@ def cmd_diagram(args) -> int:
     mags = _parse_magnitudes(args)
     _check_writable(args.json, args.svg)
     loaded = load_system(args.spec)
-    _, summary = _matrix_and_summary(loaded, args.threads)
+    summary = level_summary(loaded.system, loaded.tau, args.threads)
     levels = [ExtendedLevel(Branch.NEG, m) for m in reversed(mags)]
     levels += [ExtendedLevel(Branch.NEG, 0.0), ExtendedLevel(Branch.POS, 0.0)]
     levels += [ExtendedLevel(Branch.POS, m) for m in mags]
@@ -158,7 +182,7 @@ def cmd_detect(args) -> int:
     loaded = load_system(args.spec)
     if loaded.kind != "map":
         raise SpecError("certificate detection runs on maps")
-    matrix, _ = _matrix_and_summary(loaded, args.threads)
+    matrix = level_matrix(loaded.system, threads=args.threads)
     h = loaded.system.spacing
     min_gap = args.min_gap if args.min_gap is not None else (4.0 * h if h else 1e-9)
     certs = find_wandering_certificates(matrix, min_gap, limit=args.limit)

@@ -31,10 +31,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Branch, ExtendedLevel
+from . import links
+from .core import Branch, ExtendedLevel, MapSystem
 from .links import LevelMatrix
 
-SUMMARY_ROWS = 256   # level rows per band of summarize's beta reduction
+SUMMARY_ROWS = 256   # level rows per band of the beta reduction
 
 
 @dataclass(frozen=True)
@@ -73,24 +74,117 @@ def nw_level(matrix: LevelMatrix, x: int) -> float:
     return float(matrix.levels[r, r])
 
 
+def _excursions(out: np.ndarray, returns: np.ndarray) -> np.ndarray:
+    """Per row x: the least out[x, y] over the y with returns[x, y] > out[x, y], else inf.
+
+    ``out`` holds the levels L[x, :] of some rows and ``returns`` the matching
+    L[:, x], transposed.  The min over each row is the same reduction however
+    the rows are cut (a masked min, ``where=``, can pick the other signed zero).
+    """
+    with np.errstate(invalid="ignore"):
+        return np.where(returns > out, out, np.inf).min(axis=1)
+
+
+def _robustness(L: np.ndarray, lam: np.ndarray, zero_tol: float) -> np.ndarray:
+    """beta from a whole level matrix; row bands bound the float temporary."""
+    beta = np.empty(len(lam))
+    for a in range(0, len(lam), SUMMARY_ROWS):
+        beta[a:a + SUMMARY_ROWS] = _excursions(L[a:a + SUMMARY_ROWS],
+                                               L[:, a:a + SUMMARY_ROWS].T)
+    return np.where(lam <= zero_tol, beta, np.nan)
+
+
 def summarize(matrix: LevelMatrix, zero_tol: float) -> LevelSummary:
     """Compute lam and beta for every sample covered by a complete matrix."""
-    L = matrix.levels
-    m = matrix.m
-    lam = np.diagonal(L).copy()
-    # beta candidates: returns strictly costlier than the excursion.  Row bands
-    # bound the float temporary; each row's min is the same reduction as over
-    # the whole matrix (a masked min, ``where=``, can pick the other signed zero).
-    beta_all = np.empty(m)
-    for a in range(0, m, SUMMARY_ROWS):
-        rows = L[a:a + SUMMARY_ROWS]
-        with np.errstate(invalid="ignore"):
-            qualifying = L[:, a:a + SUMMARY_ROWS].T > rows
-        beta_all[a:a + SUMMARY_ROWS] = np.where(qualifying, rows, np.inf).min(axis=1)
-    defined = lam <= zero_tol
-    beta = np.where(defined, beta_all, np.nan)
-    return LevelSummary(lam=lam, beta=beta, zero_tol=float(zero_tol),
-                        targets=matrix.targets.copy())
+    lam = np.diagonal(matrix.levels).copy()
+    return LevelSummary(lam=lam, beta=_robustness(matrix.levels, lam, zero_tol),
+                        zero_tol=float(zero_tol), targets=matrix.targets.copy())
+
+
+def diagonal_levels(D, M: np.ndarray) -> np.ndarray:
+    """lam[i] = min over z of max(D[i, z], M[z, i]): the diagonal of the product.
+
+    D is read in bands of ``links.CELL_ROWS`` rows, as the product reads it
+    (an ``EntryCostRows`` view computes only those).  Min and max select among
+    the same floats as ``bottleneck_product``, so each entry is its diagonal
+    entry bit for bit, NaN included.
+    """
+    lam = np.empty(M.shape[1])
+    for a in range(0, len(lam), links.CELL_ROWS):
+        band = slice(a, a + links.CELL_ROWS)
+        lam[band] = np.maximum(D[band], M[:, band].T).min(axis=1)
+    return lam
+
+
+def strip_robustness(D: links.EntryCostRows, M: np.ndarray, gated: np.ndarray,
+                     threads: int = 1) -> np.ndarray:
+    """beta of the gated targets from the row and column strips of the product.
+
+    beta(x) reads only row x and column x of L = min_z max(D, M): the rows
+    L[G, :] are the product of the entry costs of the gated targets with M,
+    and the columns L[:, G] that of D with M[:, G].  That is 2 |G| m entries
+    instead of m^2, and no (m, m) array.  Returns beta over all targets, NaN
+    outside the gate.
+    """
+    beta = np.full(len(gated), np.nan)
+    if gated.any():
+        rows = links.bottleneck_product(links.EntryCostRows(D.system, D.cols[gated]),
+                                        M, threads)
+        cols = links.bottleneck_product(D, M[:, gated], threads)
+        beta[gated] = _excursions(rows, cols.T)
+    return beta
+
+
+def _gated_levels(D: links.EntryCostRows, exits: list[np.ndarray], zero_tol: float,
+                  threads: int) -> tuple[np.ndarray, np.ndarray]:
+    """lam and beta in D's target order from the exit minima taken off ``exits``.
+
+    Taking them off the list leaves this call the only holder, so they are
+    freed before the whole product's beta reduction, as ``level_matrix``
+    frees them before undoing the cell order.
+    """
+    M = exits.pop()
+    lam = diagonal_levels(D, M)
+    gated = lam <= zero_tol
+    if 2 * np.count_nonzero(gated) <= len(lam):
+        return lam, strip_robustness(D, M, gated, threads)
+    # most samples pass the gate: the strips would cover the whole product
+    L = links.bottleneck_product(D, M, threads)
+    del M
+    return lam, _robustness(L, lam, zero_tol)
+
+
+def level_summary(system: MapSystem, zero_tol: float, threads: int = 1,
+                  horizon_check: bool = False
+                  ) -> LevelSummary | tuple[LevelSummary, LevelSummary]:
+    """lam and beta of every sample, as ``summarize(level_matrix(system))`` bit for bit,
+    without the whole level matrix when few samples pass the gate.
+
+    lam is the diagonal of the product (``diagonal_levels``).  beta is defined
+    only on the gate G = {lam <= zero_tol}: when |G| <= m / 2 it comes from
+    the two strips of ``strip_robustness``, otherwise from the whole product.
+    The arrays are priced, ordered and read as in ``level_matrix``: all
+    samples are targets, in cell order, D is an ``EntryCostRows`` view and
+    the results are put back in sample order.
+
+    With ``horizon_check``, one fold gives the exit minima at the full and
+    the reduced horizon (``links.reduced_horizon``), and the same pass runs
+    on both: returns the pair (summary, summary at the reduced horizon).
+    """
+    tg, perm = links.priced_targets(system, None, horizon_check)
+    cols = tg[perm]
+    D = links.EntryCostRows(system, cols)
+    if horizon_check:
+        exits = list(links.exit_min_matrix(system, cols, half=links.reduced_horizon(system)))
+    else:
+        exits = [links.exit_min_matrix(system, cols)]
+    inv = np.argsort(perm)
+    summaries = []
+    while exits:                                   # the full horizon first
+        lam, beta = _gated_levels(D, exits, zero_tol, threads)
+        summaries.append(LevelSummary(lam=lam[inv], beta=beta[inv], zero_tol=float(zero_tol),
+                                      targets=tg))
+    return tuple(summaries) if horizon_check else summaries[0]
 
 
 def _pos_member(summary: LevelSummary, magnitude: float) -> np.ndarray:

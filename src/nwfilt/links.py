@@ -21,7 +21,7 @@ smallest step count, then smallest entry-sample index, never by scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -379,6 +379,38 @@ def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1,
     return out
 
 
+def priced_targets(system: MapSystem, targets: Iterable[int] | None = None,
+                   horizon_check: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The validated targets and their ``cell_order``, once the level arrays are priced.
+
+    The price against ``core.MAX_MATRIX_BYTES`` counts the entry costs D and
+    the exit minima, (m, n) each, the half-horizon exit minima with
+    ``horizon_check``, and the (m, m) levels: 8 * m * ((3 or 2) * n + m) bytes.
+    """
+    n = system.n
+    if n == 0:
+        raise ValueError("empty sample set")
+    tg = target_indices(n, targets)
+    m = len(tg)
+    check_store_size(8 * m * ((3 if horizon_check else 2) * n + m),
+                     f"the level matrix of {m} targets over {n} samples",
+                     "use fewer targets or a coarser grid", cap=core.MAX_MATRIX_BYTES)
+    return tg, cell_order(system.space.coords, tg)
+
+
+def reduced_horizon(system: MapSystem) -> int:
+    """The horizon check's last step: the first half of the exit window, at least one step."""
+    return system.first_step - 1 + max(1, (system.horizon - system.first_step + 1) // 2)
+
+
+def reduced_window(system: MapSystem) -> MapSystem:
+    """The same system with its orbit store cut at ``reduced_horizon``."""
+    h2 = reduced_horizon(system)
+    if system.is_tabulated:
+        return replace(system, horizon=h2, orbit_table=system.orbit_table[:, :h2])
+    return replace(system, horizon=h2, orbit_coords=system.orbit_coords[:, :h2])
+
+
 def level_matrix(system: MapSystem, targets: Iterable[int] | None = None,
                  threads: int = 1, horizon_check: bool = False) -> LevelMatrix:
     """Pairwise link levels over the requested samples (all by default).
@@ -402,20 +434,13 @@ def level_matrix(system: MapSystem, targets: Iterable[int] | None = None,
     no slower than with D held whole, since 2-D costs are summed per axis
     (``BENCH_12.json``).
     """
-    n = system.n
-    if n == 0:
-        raise ValueError("empty sample set")
-    tg = target_indices(n, targets)
+    tg, perm = priced_targets(system, targets, horizon_check)
     m = len(tg)
-    check_store_size(8 * m * ((3 if horizon_check else 2) * n + m),
-                     f"the level matrix of {m} targets over {n} samples",
-                     "use fewer targets or a coarser grid", cap=core.MAX_MATRIX_BYTES)
-    perm = cell_order(system.space.coords, tg)
     cols = tg[perm]
     D = EntryCostRows(system, cols)
     report = None
     if horizon_check:
-        h2 = system.first_step - 1 + max(1, (system.horizon - system.first_step + 1) // 2)
+        h2 = reduced_horizon(system)
         M_half, M = exit_min_matrix(system, cols, half=h2)
         # bit patterns: signed zeros and NaN cannot alias
         moved = (M.view(np.int64) != M_half.view(np.int64)).any(axis=0)

@@ -18,7 +18,9 @@ The point of the module is the ``reduction_equivalence`` check: the engine's
 lam/beta reductions must reproduce these definitional sets at every critical
 value and midpoint, on random instances with metric, merely symmetric, and
 asymmetric cost functions alike.  Any violation falsifies either a reduction
-or a reading of a definition and blocks release.
+or a reading of a definition and blocks release.  ``gated_reduction_equivalence``
+asks the same of ``filtration.level_summary``, which derives lam and beta
+without the whole level matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Branch, ExtendedLevel, build_tabulated_system
-from .filtration import omega_slice, summarize
+from .filtration import level_summary, omega_slice, summarize
 from .links import level_matrix
 
 
@@ -350,16 +352,24 @@ def verify_lemmas(inst: FiniteInstance,
     probe_levels += [ExtendedLevel(Branch.POS, np.inf)]
     probe_levels += [ExtendedLevel(Branch.NEG, float(t)) for t in tb.ts[np.isfinite(tb.ts)]]
     probe_levels += [ExtendedLevel(Branch.NEG, np.inf)]
-    bad_detail = ""
-    ok = True
-    for lv in probe_levels:
-        want = set(definitional_omega(inst, lv, tb).tolist())
-        got = set(int(i) for i in member_fn(lv))
-        if want != got:
-            ok = False
-            bad_detail = f"level {lv}: definitional {sorted(want)} vs reduction {sorted(got)}"
-            break
-    record("reduction_equivalence", ok, bad_detail)
+    wants = [set(definitional_omega(inst, lv, tb).tolist()) for lv in probe_levels]
+
+    def first_mismatch(member) -> str:
+        for lv, want in zip(probe_levels, wants):
+            got = set(int(i) for i in member(lv))
+            if want != got:
+                return f"level {lv}: definitional {sorted(want)} vs reduction {sorted(got)}"
+        return ""
+
+    bad = first_mismatch(member_fn)
+    record("reduction_equivalence", not bad, bad)
+    # the gated pass: the same lam and beta without the whole matrix
+    if matrix is None:
+        skip("gated_reduction_equivalence", "membership overridden")
+    else:
+        gated = level_summary(inst.to_map_system(), zero_tol=0.0)
+        bad = first_mismatch(lambda lv: omega_slice(gated, lv))
+        record("gated_reduction_equivalence", not bad, bad)
 
     return OracleReport(seed=inst.seed, checks=tuple(checks))
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ import pytest
 from nwfilt import cli, core, flows, links
 from nwfilt.cli import main
 from nwfilt.core import ResourceLimitError
-from nwfilt.links import horizon_stability
+from nwfilt.filtration import summarize
+from nwfilt.links import horizon_stability, level_matrix
 from nwfilt.specfile import load_system
 
 
@@ -33,6 +36,45 @@ def flow_spec(name):
     return {"kind": "semiflow", "source": {"builtin": name},
             "grid": {"box": [[-2.0, 2.0]], "h": 0.05},
             "horizon": {"dt": 0.02, "t_min": 1.0, "t_max": 6.0}}
+
+
+def tail_spec(n_max, m_max):
+    return {"kind": "map", "source": {"builtin": "counterexample_tail",
+                                      "params": {"n_max": n_max, "m_max": m_max}}}
+
+
+INF_CYCLE = {"kind": "map", "horizon": {"n_max": 2},       # 3 pairs change, lam and beta do not
+             "source": {"table": {"cost": [[0.0, "inf", "inf"], ["inf", 0.0, "inf"],
+                                           ["inf", "inf", 0.0]], "map": [1, 2, 0]}}}
+
+
+def half_window(system):
+    """The system cut to the first half of its exit window, at least one step."""
+    h2 = system.first_step - 1 + max(1, (system.horizon - system.first_step + 1) // 2)
+    if system.is_tabulated:
+        return replace(system, horizon=h2, orbit_table=system.orbit_table[:, :h2])
+    return replace(system, horizon=h2, orbit_coords=system.orbit_coords[:, :h2])
+
+
+def expected_horizon_line(loaded):
+    """analyze's default horizon line, from the whole-matrix summaries at the
+    full and the half exit window: the samples whose lam and whose beta differ
+    (NaN equals NaN), each with its largest numeric change."""
+    system = loaded.system
+    half_sys = half_window(system)
+    full = summarize(level_matrix(system), loaded.tau)
+    half = summarize(level_matrix(half_sys), loaded.tau)
+    changes = []
+    for a, b in ((full.lam, half.lam), (full.beta, half.beta)):
+        diffs = [abs(y - x) for x, y in zip(a.tolist(), b.tolist())
+                 if not (x == y or (math.isnan(x) and math.isnan(y)))]
+        changes.append((len(diffs), max((d for d in diffs if not math.isnan(d)), default=0.0)))
+    (k, a), (j, b) = changes
+    state = ("stable" if k == j == 0 else
+             f"lam changed on {k} samples (max {a:.3g}), beta on {j} (max {b:.3g})")
+    at = (f"n_max={half_sys.horizon}" if loaded.kind == "map"
+          else f"t_max={half_sys.horizon * system.dt:.6g}")
+    return f"horizon check at {at}: {state}\n"
 
 
 class TestAnalyze:
@@ -114,7 +156,7 @@ class TestAnalyze:
             spec = write_spec(tmp_path, "inf.json", {
                 "kind": "map", "horizon": {"n_max": n_max},
                 "source": {"table": {"cost": inf_cost, "map": step}}})
-            assert main(["analyze", spec]) == 0
+            assert main(["analyze", spec, "--matrix-out", str(tmp_path / "m.csv")]) == 0
             err = capsys.readouterr().err
             assert f"horizon check at n_max={n_max // 2}: {want}\n" in err
             assert "Warning" not in err
@@ -131,8 +173,60 @@ class TestAnalyze:
         assert not rep.stable
         want = (f"horizon check at n_max={rep.reduced_horizon}: {rep.changed_pairs} "
                 f"pairs changed (max {rep.max_change:.3g})\n")
-        assert main(["analyze", spec, "--threads", threads]) == 0
+        assert main(["analyze", spec, "--threads", threads,
+                     "--matrix-out", str(tmp_path / "m.csv")]) == 0
         assert want in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, payload, state", [
+        ("tail_15", tail_spec(15, 15), "lam changed on 1 samples"),
+        ("tail_10", tail_spec(10, 8), "stable"),           # 315 pairs change
+        ("inf_cycle", INF_CYCLE, "stable"),
+        ("f2", {"kind": "map", "source": {"builtin": "f2"},
+                "grid": {"box": [[-2.0, 2.0]], "h": 0.02}, "horizon": {"n_max": 64}}, "stable"),
+        ("flow_att", flow_spec("flow_att"), "beta on 2"),
+        ("flow_Y", flow_spec("flow_Y"), "stable"),
+    ])
+    def test_default_horizon_line_reports_lam_and_beta(self, tmp_path, capsys,
+                                                       name, payload, state):
+        """Without --matrix-out the check compares what stdout prints: lam and
+        beta at the full and the reduced exit window (flows included)."""
+        spec = write_spec(tmp_path, f"{name}.json", payload)
+        want = expected_horizon_line(load_system(spec))
+        assert state in want
+        for threads in ("1", "2", "3"):
+            assert main(["analyze", spec, "--threads", threads]) == 0
+            err = capsys.readouterr().err
+            assert want in err and "unquantified" not in err
+
+    def test_flow_horizon_check_skipped_above_the_cap(self, tmp_path, capsys, monkeypatch):
+        spec = write_spec(tmp_path, "fy.json", flow_spec("flow_Y"))     # n = 81
+        monkeypatch.setattr(cli, "HORIZON_CHECK_CAP", 80)
+        assert main(["analyze", spec]) == 0
+        err = capsys.readouterr().err
+        assert "horizon check skipped: n=81 > 80\n" in err and "horizon check at" not in err
+
+    def test_gated_analyze_builds_no_level_matrix(self, tmp_path, capsys, monkeypatch):
+        """analyze reads lam and beta off the product's diagonal and two strips:
+        no (m, m) product without --matrix-out, one with it."""
+        shapes = []
+        product = links.bottleneck_product
+
+        def recording(*args, **kwargs):
+            out = product(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(links, "bottleneck_product", recording)
+        for spec in (f2_spec(tmp_path), write_spec(tmp_path, "tail.json", tail_spec(10, 8))):
+            n = load_system(spec).system.n
+            shapes.clear()
+            assert main(["analyze", spec]) == 0
+            gated = capsys.readouterr().out
+            assert len(shapes) == 4 and (n, n) not in shapes     # two strips per horizon
+            shapes.clear()
+            assert main(["analyze", spec, "--matrix-out", str(tmp_path / "m.csv")]) == 0
+            assert capsys.readouterr().out == gated
+            assert shapes.count((n, n)) == 1
 
     @pytest.mark.parametrize("cmd, arrays", [("analyze", 3), ("detect", 2), ("flow", 2)])
     def test_level_arrays_priced_before_allocation(self, tmp_path, capsys, monkeypatch,
@@ -231,6 +325,17 @@ class TestAnalyze:
             stdout = capsys.readouterr().out.encode()
             assert hashlib.sha256(stdout).hexdigest() == (
                 "8f49f159f252428fcf3b95293dae03054b6718c7db9681c47bd7b1d5082d1463")
+
+    @pytest.mark.parametrize("name, digest", [
+        ("f2", "af68e9f4a2a83856707b2d5d383dca3af97879515e929777f57878013c630243"),
+        ("tail", "1dd03eee24bf52e683c5c3d025b9f23999d56ac9269c44aa0d2255c9bc3311e6"),
+    ])
+    def test_golden_map_stdout(self, tmp_path, capsys, name, digest):
+        spec = (f2_spec(tmp_path) if name == "f2"
+                else write_spec(tmp_path, "tail.json", tail_spec(10, 8)))
+        for threads in ("1", "2", "3"):
+            assert main(["analyze", spec, "--threads", threads]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_box_dimension_must_match_the_builtin(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "b.json", {

@@ -9,10 +9,11 @@ from nwfilt.builtins import (build_builtin_flow, build_grid_system, builtin,
 from nwfilt.core import (CostSpace, MapSystem, ResourceLimitError, build_sampled_system,
                          build_tabulated_system)
 from nwfilt import core, links
-from nwfilt.links import (EntryCostRows, HorizonStabilityReport, bottleneck_product,
-                          cell_order, entry_cost_rows, exit_min_matrix, horizon_stability,
-                          level_matrix, link_level, nearest_exit_costs, reachable_set,
-                          recompute_witness_level)
+from nwfilt.filtration import level_summary, strip_robustness, summarize
+from nwfilt.links import (EntryCostRows, HorizonStabilityReport, LevelMatrix,
+                          bottleneck_product, cell_order, entry_cost_rows, exit_min_matrix,
+                          horizon_stability, level_matrix, link_level, nearest_exit_costs,
+                          reachable_set, recompute_witness_level)
 
 
 def euclid(a, b):
@@ -76,16 +77,20 @@ def scan_levels(system):
     return brute_product(entry_cost_rows(system, tg), scan_exit_min(system, tg))
 
 
-def product_inputs(name):
-    """Entry costs and exit minima of a builtin on a small grid."""
+def small_builtin(name):
+    """A builtin on a small grid; the tail as a 9 x 8 table."""
     kind = builtin(name).kind
     if kind == "map":
-        sys = build_grid_system(name, box=[[-2, 2]], spacing=0.03, horizon=16)
-    elif kind == "semiflow":
-        sys = build_builtin_flow(name, box=[[-2, 2]], spacing=0.03, dt=0.05,
-                                 t_min=0.5, t_max=3.0)
-    else:
-        sys = counterexample_tail(9, 8)
+        return build_grid_system(name, box=[[-2, 2]], spacing=0.03, horizon=16)
+    if kind == "semiflow":
+        return build_builtin_flow(name, box=[[-2, 2]], spacing=0.03, dt=0.05,
+                                  t_min=0.5, t_max=3.0)
+    return counterexample_tail(9, 8)
+
+
+def product_inputs(name):
+    """Entry costs and exit minima of a builtin on a small grid."""
+    sys = small_builtin(name)
     tg = np.arange(sys.n)
     return entry_cost_rows(sys, tg), exit_min_matrix(sys, tg)
 
@@ -1008,3 +1013,74 @@ class TestNanIterates:
                     lvl, wit = link_level(system, x, y)
                     assert np.isnan(lvl)
                     assert (wit.steps, wit.start_index) == (steps[0] + first_step, starts[0])
+
+
+# (system, zero gates): builtins, random tables with inf costs and 2-D and 3-D
+# coordinate tables, NaN iterates, and exit windows starting at steps 2 and 3.
+# A gate of -inf passes no sample and one of inf every sample with a number.
+GATED_CASES = {
+    **{name: (lambda name=name: small_builtin(name), (0.0, 0.06)) for name in builtin_names()},
+    **{f"cost_table_h{h}_s{seed}": (lambda h=h, seed=seed: cost_table(40, h, seed), (0.0, 0.5))
+       for h in (1, 3, 8) for seed in range(2)},
+    "cycle_inf_h12": (lambda: cost_table(12, 12, 0, cycle=True), (0.0,)),
+    **{f"coordinate_table_d{d}": (lambda d=d: coordinate_table(90, d, 5, seed=d), (0.0, 0.2))
+       for d in (2, 3)},
+    **{f"nan_orbit_h{h}": (lambda h=h: nan_orbit(h), (0.0, 0.2)) for h in range(1, 7)},
+    **{f"window_{fs}_{i}": (lambda fs=fs, i=i: window_systems(fs)[i], (0.0, 0.1))
+       for fs in (2, 3) for i in range(6)},
+}
+
+
+def assert_same_levels(got, want):
+    """lam and beta equal bit for bit, compared as int64 views, NaN included."""
+    assert np.array_equal(got.targets, want.targets)
+    assert np.array_equal(got.lam.view(np.int64), want.lam.view(np.int64))
+    assert np.array_equal(got.beta.view(np.int64), want.beta.view(np.int64))
+
+
+class TestLevelSummary:
+    """filtration.level_summary reads lam off the product's diagonal and beta off
+    two strips (or the whole product when most samples pass the gate): the same
+    floats as summarize(level_matrix(...)), at the full and the half horizon."""
+
+    @pytest.mark.parametrize("case", sorted(GATED_CASES))
+    def test_equals_the_whole_matrix_summary(self, case):
+        build, gates = GATED_CASES[case]
+        system = build()
+        full, half = level_matrix(system), level_matrix(half_horizon(system))
+        for zero_tol in (-np.inf, *gates, np.inf):
+            want, want_half = summarize(full, zero_tol), summarize(half, zero_tol)
+            for threads in (1, 2, 3):
+                assert_same_levels(level_summary(system, zero_tol, threads), want)
+                got, got_half = level_summary(system, zero_tol, threads, horizon_check=True)
+                assert_same_levels(got, want)
+                assert_same_levels(got_half, want_half)
+
+    @pytest.mark.parametrize("case", ["counterexample_tail", "f2", "identity", "flow_att",
+                                      "cost_table_h3_s0", "coordinate_table_d2", "nan_orbit_h1"])
+    def test_strips_on_both_sides_of_the_switch(self, case):
+        """strip_robustness gives beta for any gate, also where level_summary
+        takes the whole product instead (more than half the samples pass)."""
+        build, gates = GATED_CASES[case]
+        system = build()
+        tg, perm = links.priced_targets(system)
+        cols = tg[perm]
+        D, M = EntryCostRows(system, cols), exit_min_matrix(system, cols)
+        L = level_matrix(system).levels[np.ix_(perm, perm)]      # in cell order
+        sides = set()
+        for zero_tol in (-np.inf, *gates, np.inf):
+            gated = np.diagonal(L) <= zero_tol
+            sides.add(2 * np.count_nonzero(gated) <= len(gated))
+            want = summarize(LevelMatrix(levels=L, targets=np.arange(len(L)), horizon=1),
+                             zero_tol).beta
+            for threads in (1, 2, 3):
+                got = strip_robustness(D, M, gated, threads)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert sides == {True, False}
+
+    def test_empty_and_full_gate(self):
+        ident = build_grid_system("identity", box=[[-1, 1]], spacing=0.1, horizon=3)
+        assert np.all(level_summary(ident, 0.0).beta == np.inf)       # every sample gated
+        cost = np.ones((3, 3)) - np.eye(3)
+        cycle = build_tabulated_system([1, 2, 0], horizon=2, cost_matrix=cost)
+        assert np.all(np.isnan(level_summary(cycle, 0.0).beta))       # none gated

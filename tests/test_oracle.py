@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nwfilt import filtration
 from nwfilt.core import Branch, neg_level, pos_level
 from nwfilt.filtration import omega_slice, summarize
 from nwfilt.links import level_matrix
@@ -99,12 +100,43 @@ class TestExitWindow:
             status = {c.name: c.status for c in report.checks}
             assert status["reduction_equivalence"] == "pass"
             assert status["level_threshold_equivalence"] == "pass"
+            assert status["gated_reduction_equivalence"] == "pass"
 
     def test_window_draws_the_same_instance(self):
         for seed in range(20):
             a, b = random_instance(seed), random_instance(seed, first_step=3)
             assert a.cost.tobytes() == b.cost.tobytes() and a.table.tobytes() == b.table.tobytes()
             np.testing.assert_array_equal(b.orbit, a.orbit[:, 2:])
+
+
+class TestGatedReduction:
+    """The gated pass (filtration.level_summary: lam off the diagonal, beta off
+    two strips or the whole product) reproduces the definitional slices."""
+
+    def test_both_sides_of_the_switch_pass(self):
+        sides = set()
+        for seed in range(80):
+            inst = random_instance(seed)
+            status = {c.name: c.status for c in verify_lemmas(inst).checks}
+            assert status["gated_reduction_equivalence"] == "pass", seed
+            lam = summarize(level_matrix(inst.to_map_system()), zero_tol=0.0).lam
+            sides.add(2 * np.count_nonzero(lam <= 0.0) <= inst.n)
+        assert sides == {True, False}
+
+    def test_skipped_when_membership_is_overridden(self, two_point):
+        report = verify_lemmas(two_point, membership_fn=lambda lv: np.array([0]))
+        status = {c.name: c.status for c in report.checks}
+        assert status["gated_reduction_equivalence"] == "skipped"
+
+    def test_fully_robust_strips_are_caught(self, monkeypatch):
+        # a deliberately wrong strip pass: every gated sample robust at every magnitude
+        def mutant(D, M, gated, threads=1):
+            return np.where(gated, np.inf, np.nan)
+
+        monkeypatch.setattr(filtration, "strip_robustness", mutant)
+        failures = [c.name for seed in range(40)
+                    for c in verify_lemmas(random_instance(seed)).failures]
+        assert failures and set(failures) == {"gated_reduction_equivalence"}
 
 
 class TestHorizonAdequacy:
