@@ -35,9 +35,9 @@ import numpy as np
 from .core import ExtendedLevel, Branch, ResourceLimitError
 from .filtration import diagram, level_summary, summarize
 from .flows import IntegrationError
-from .links import level_matrix, reduced_horizon, reduced_window
-from .export import (build_document, export_diagram_json, export_levels_csv,
-                     render_svg)
+from .links import level_matrix, reduced_horizon
+from .export import (build_document, check_svg_size, export_diagram_json,
+                     export_levels_csv, render_svg)
 from .specfile import LoadedSystem, SpecError, instance_to_spec, load_system
 from .wandering import find_wandering_certificates
 
@@ -97,21 +97,21 @@ def cmd_analyze(args) -> int:
     loaded = load_system(args.spec)
     system, is_map = loaded.system, loaded.kind == "map"
     check = system.n <= HORIZON_CHECK_CAP
-    # A map's check folds both horizons' exit minima into the pass, priced
-    # with both.  A flow's pass is priced with one, so its check is a second
-    # pass over the reduced window, which holds only that window's minima.
+    pairs = bool(args.matrix_out) and check and is_map   # the check counts changed pairs
     if args.matrix_out:
-        matrix = level_matrix(system, threads=args.threads, horizon_check=check and is_map)
-        summary = summarize(matrix, zero_tol=loaded.tau)
+        matrix = level_matrix(system, threads=args.threads, horizon_check=pairs)
         header = ",".join(str(int(t)) for t in matrix.targets)
         rows = "\n".join(",".join(f"{v:.9g}" for v in row) for row in matrix.levels)
         Path(args.matrix_out).write_bytes((header + "\n" + rows + "\n").encode())
-    elif check and is_map:
+    # Otherwise the check runs the summary's pass on the reduced window's exit
+    # minima, then on the same array lowered over the rest of the window, for
+    # maps and flows alike.
+    if check and not pairs:
         summary, half = level_summary(system, loaded.tau, args.threads, horizon_check=True)
+    elif args.matrix_out:
+        summary = summarize(matrix, zero_tol=loaded.tau)
     else:
         summary = level_summary(system, loaded.tau, args.threads)
-    if check and not is_map:
-        half = level_summary(reduced_window(system), loaded.tau, args.threads)
     _write(args.out, export_levels_csv(summary, _coords(loaded)))
     meta = loaded.meta
     if is_map:
@@ -126,7 +126,7 @@ def cmd_analyze(args) -> int:
         at = f"t_max={reduced_horizon(system) * system.dt:.6g}"
     if not check:
         _diag(f"horizon check skipped: n={system.n} > {HORIZON_CHECK_CAP}")
-    elif args.matrix_out and is_map:
+    elif pairs:
         rep = matrix.horizon_check
         state = "stable" if rep.stable else f"{rep.changed_pairs} pairs changed (max {rep.max_change:.3g})"
         _diag(f"horizon check at {at}: {state}")
@@ -158,6 +158,7 @@ def _parse_magnitudes(args) -> list[float]:
 
 def cmd_diagram(args) -> int:
     mags = _parse_magnitudes(args)
+    check_svg_size(args.width, args.height)
     _check_writable(args.json, args.svg)
     loaded = load_system(args.spec)
     summary = level_summary(loaded.system, loaded.tau, args.threads)

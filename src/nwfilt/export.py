@@ -164,6 +164,17 @@ def parse_diagram_json(data: bytes) -> DiagramDocument:
 # ---------------------------------------------------------------------------
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 46.0, 12.0, 14.0, 30.0
+# The smallest canvas: a plot area 2 px wide (one more than the split gap, so
+# every column is wider than 0) and 1 px high, inside the margins.
+_MIN_WIDTH = int(_MARGIN_L + _MARGIN_R) + 2
+_MIN_HEIGHT = int(_MARGIN_T + _MARGIN_B) + 1
+
+
+def check_svg_size(width: int, height: int) -> None:
+    """Reject a canvas with no room for the plot inside the margins."""
+    if width < _MIN_WIDTH or height < _MIN_HEIGHT:
+        raise ValueError(f"SVG size {width}x{height} leaves no room for the plot; "
+                         f"need at least {_MIN_WIDTH}x{_MIN_HEIGHT} px")
 
 
 def render_svg(doc: DiagramDocument, width: int = 640, height: int = 420) -> bytes:
@@ -175,6 +186,7 @@ def render_svg(doc: DiagramDocument, width: int = 640, height: int = 420) -> byt
     filled region is monotone along the budget axis.  Output bytes are
     deterministic for identical documents.
     """
+    check_svg_size(width, height)
     if doc.coords is None or doc.coords.shape[1] != 1:
         raise ValueError("SVG rendering needs a 1-D embedded system; use the CSV/JSON export")
     slices = doc.slices

@@ -139,9 +139,9 @@ def _gated_levels(D: links.EntryCostRows, exits: list[np.ndarray], zero_tol: flo
                   threads: int) -> tuple[np.ndarray, np.ndarray]:
     """lam and beta in D's target order from the exit minima taken off ``exits``.
 
-    Taking them off the list leaves this call the only holder, so they are
-    freed before the whole product's beta reduction, as ``level_matrix``
-    frees them before undoing the cell order.
+    When that leaves this call the only holder, they are freed before the
+    whole product's beta reduction, as ``level_matrix`` frees them before
+    undoing the cell order.
     """
     M = exits.pop()
     lam = diagonal_levels(D, M)
@@ -167,24 +167,28 @@ def level_summary(system: MapSystem, zero_tol: float, threads: int = 1,
     samples are targets, in cell order, D is an ``EntryCostRows`` view and
     the results are put back in sample order.
 
-    With ``horizon_check``, one fold gives the exit minima at the full and
-    the reduced horizon (``links.reduced_horizon``), and the same pass runs
-    on both: returns the pair (summary, summary at the reduced horizon).
+    With ``horizon_check``, returns the pair (summary, summary at the reduced
+    horizon, ``links.reduced_horizon``) from one array of exit minima: the
+    pass runs on the minima of ``links.reduced_window`` first, then on the
+    same array lowered in place over the rest of the exit window.  Maps and
+    flows take the same path, and the check holds no more (n, m) arrays than
+    the pass without it.
     """
     tg, perm = links.priced_targets(system, None, horizon_check)
     cols = tg[perm]
     D = links.EntryCostRows(system, cols)
-    if horizon_check:
-        exits = list(links.exit_min_matrix(system, cols, half=links.reduced_horizon(system)))
-    else:
-        exits = [links.exit_min_matrix(system, cols)]
     inv = np.argsort(perm)
-    summaries = []
-    while exits:                                   # the full horizon first
+
+    def summary(exits: list[np.ndarray]) -> LevelSummary:
         lam, beta = _gated_levels(D, exits, zero_tol, threads)
-        summaries.append(LevelSummary(lam=lam[inv], beta=beta[inv], zero_tol=float(zero_tol),
-                                      targets=tg))
-    return tuple(summaries) if horizon_check else summaries[0]
+        return LevelSummary(lam=lam[inv], beta=beta[inv], zero_tol=float(zero_tol), targets=tg)
+
+    if not horizon_check:
+        return summary([links.exit_min_matrix(system, cols)])
+    exits = [links.exit_min_matrix(links.reduced_window(system), cols)]
+    half = summary(exits[:])                       # exits still holds M, to lower it
+    links.exit_min_matrix(system, cols, exits[0], first_step=links.reduced_horizon(system) + 1)
+    return summary(exits), half
 
 
 def _pos_member(summary: LevelSummary, magnitude: float) -> np.ndarray:

@@ -125,68 +125,76 @@ def _exit_points(system: MapSystem) -> np.ndarray:
     return system.orbit_coords[:, system.first_step - 1:]
 
 
-def nearest_exit_costs(cand: np.ndarray, targets: np.ndarray, half: int | None = None):
-    """out[z, j] = min over k of the Euclidean distance from cand[z, k] to targets[j].
+def nearest_exit_costs(cand: np.ndarray, targets: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """out[z, j] lowered to the least Euclidean distance from cand[z, k] to targets[j].
 
-    ``cand`` holds raw exit points, (n, K, d); ``targets`` is (m, d).  In 1-D
-    each row's candidates are sorted once and searched, otherwise every
-    candidate is evaluated; both minimize over the same floats.  A NaN
-    candidate makes its row NaN, as a minimum over all of them would.  With
-    ``half``, returns the pair (minima over the first ``half`` candidates,
-    minima over all), both from the same pass over the rows.
+    ``cand`` holds raw exit points, (n, K, d) with K >= 1; ``targets`` is
+    (m, d).  ``out`` (n, m) is lowered in place and returned, a new array of
+    inf by default.  In 1-D each row's candidates are sorted once and
+    searched, otherwise every candidate is evaluated; both minimize over the
+    same floats.  A NaN candidate makes its row NaN, as a minimum over all of
+    them would, and np.minimum keeps a NaN already in ``out``.
     """
-    stops = (cand.shape[1],) if half is None else (half, cand.shape[1])
-    outs = [np.empty((cand.shape[0], len(targets))) for _ in stops]
+    if out is None:
+        out = np.full((cand.shape[0], len(targets)), np.inf)
     if cand.shape[2] == 1:
         cand, t = cand[:, :, 0], targets[:, 0]
         for z in range(cand.shape[0]):
-            for k, out in zip(stops, outs):     # one sort per prefix, no merge
-                s = np.sort(cand[z, :k])
-                if np.isnan(s[-1]):             # NaN sorts last
-                    out[z] = np.nan
-                    continue
-                pos = np.searchsorted(s, t)
-                sp = np.concatenate((s[:1], s, s[-1:]))    # padded ends: no clipping of pos
-                out[z] = np.minimum(np.abs(t - sp[pos]), np.abs(sp[pos + 1] - t))
+            s = np.sort(cand[z])
+            if np.isnan(s[-1]):                 # NaN sorts last
+                out[z] = np.nan
+                continue
+            pos = np.searchsorted(s, t)
+            sp = np.concatenate((s[:1], s, s[-1:]))    # padded ends: no clipping of pos
+            np.minimum(out[z], np.minimum(np.abs(t - sp[pos]), np.abs(sp[pos + 1] - t)),
+                       out=out[z])
     else:
         for z in range(cand.shape[0]):
             diff = cand[z][:, None, :] - targets[None, :, :]
-            d = np.sqrt(np.sum(diff * diff, axis=2))
-            for k, out in zip(stops, outs):
-                out[z] = d[:k].min(axis=0)
-    return outs[0] if half is None else tuple(outs)
+            np.minimum(out[z], np.sqrt(np.sum(diff * diff, axis=2)).min(axis=0), out=out[z])
+    return out
 
 
-def exit_min_matrix(system: MapSystem, cols: np.ndarray, half: int | None = None):
+def exit_min_matrix(system: MapSystem, cols: np.ndarray, out: np.ndarray | None = None,
+                    first_step: int | None = None) -> np.ndarray:
     """M[z, j] = min over the exit window of cost(f^n(z), cols[j]) for every sample z.
 
+    Lowers ``out`` (n, m) in place, a new array of inf by default, by the
+    exit costs at steps ``first_step`` (the system's by default) to the
+    horizon, and returns it; a window past the horizon lowers nothing.  So
+    the minima over the first steps of the window, lowered over the rest, are
+    the minima over the whole window bit for bit: every exit cost is the same
+    float either way, and np.minimum keeps a NaN.
+
     Tabulated systems gather from the cost table C[p, j] = cost(p, cols[j]):
-    min over n of C[orbit[z, n - 1], j].  With coordinates that table is the
-    transposed entry-cost block, because the Euclidean cost is bitwise
-    symmetric; it is built here, row-major so the gather reads contiguous
-    rows, and freed on return.  Sampled systems take the nearest exit point
-    (``nearest_exit_costs``).  With ``half`` (first_step <= half <= horizon),
-    returns the pair (M over steps first_step..half, M), the first taken in
-    the same fold as the second.
+    min over n of C[orbit[z, n - 1], j], folded in step order.  With
+    coordinates that table is the transposed entry-cost block, because the
+    Euclidean cost is bitwise symmetric; it is built here, row-major so the
+    gather reads contiguous rows, one chunk of columns at a time so that no
+    (m, n) block is held beside it, and freed on return.  Sampled systems
+    take the nearest exit point (``nearest_exit_costs``).
     """
-    k0 = system.first_step - 1
+    k0 = (first_step or system.first_step) - 1
+    if out is None:
+        out = np.full((system.n, len(cols)), np.inf)
+    if k0 >= system.horizon:
+        return out
     if not system.is_tabulated:
-        return nearest_exit_costs(_exit_points(system), system.space.coords[cols],
-                                  None if half is None else half - k0)
+        return nearest_exit_costs(system.orbit_coords[:, k0:], system.space.coords[cols], out)
     if system.space.matrix is not None:
         table = system.space.matrix[:, cols]
     else:
-        table = np.ascontiguousarray(entry_cost_rows(system, cols).T)
-    stops = (system.horizon,) if half is None else (half, system.horizon)
-    outs = [np.empty((system.n, len(cols))) for _ in stops]
+        table = np.empty((system.n, len(cols)))
+        for a in range(0, len(cols), core.COST_ROW_CHUNK):
+            table[:, a:a + core.COST_ROW_CHUNK] = entry_cost_rows(
+                system, cols[a:a + core.COST_ROW_CHUNK]).T
     for a in range(0, system.n, GATHER_ROWS):     # no (n, m) temporary per step
         orbit = system.orbit_table[a:a + GATHER_ROWS]
-        block = table[orbit[:, k0]]
-        for lo, hi, out in zip((k0 + 1,) + stops, stops, outs):
-            for k in range(lo, hi):
-                np.minimum(block, table[orbit[:, k]], out=block)
-            out[a:a + GATHER_ROWS] = block
-    return outs[0] if half is None else tuple(outs)
+        block = out[a:a + GATHER_ROWS]
+        for k in range(k0, system.horizon):
+            np.minimum(block, table[orbit[:, k]], out=block)
+    return out
 
 
 def _pair_level_table(system: MapSystem, x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
@@ -384,8 +392,11 @@ def priced_targets(system: MapSystem, targets: Iterable[int] | None = None,
     """The validated targets and their ``cell_order``, once the level arrays are priced.
 
     The price against ``core.MAX_MATRIX_BYTES`` counts the entry costs D and
-    the exit minima, (m, n) each, the half-horizon exit minima with
+    the exit minima, (m, n) each, a second set of exit minima with
     ``horizon_check``, and the (m, m) levels: 8 * m * ((3 or 2) * n + m) bytes.
+    The price is conservative: D is computed by row band, ``level_summary``
+    holds one set of exit minima with the check, and no (m, m) levels when
+    few samples pass its gate.
     """
     n = system.n
     if n == 0:
@@ -424,15 +435,17 @@ def level_matrix(system: MapSystem, targets: Iterable[int] | None = None,
     depend on the thread count.  M is freed before the order is undone, one
     axis at a time, so the undo holds at most two (m, m) arrays.
 
-    With ``horizon_check``, the same pass (one D, one fold of both horizons'
-    exit minima) also runs ``horizon_stability`` and stores its report in the
-    matrix's ``horizon_check``.  Its reduced horizon keeps the first half of
-    the exit window, at least one step.  The half-horizon pass reuses the view, so it
-    recomputes a band's entry costs once per block of ``8 * CELL_COLS`` moved
-    columns.  On the 30x30 tail (588 of 900 columns move: three blocks) D is
-    computed five times, the gather's cost table included, yet its analyze is
-    no slower than with D held whole, since 2-D costs are summed per axis
-    (``BENCH_12.json``).
+    With ``horizon_check``, the same pass (one D) also runs
+    ``horizon_stability`` and stores its report in the matrix's
+    ``horizon_check``.  Its reduced horizon keeps the first half of the exit
+    window, at least one step.  The half-horizon exit minima are those of
+    ``reduced_window``, and a copy of them lowered over the rest of the window
+    (``exit_min_matrix(..., out=, first_step=)``) is the full-horizon M.  The
+    half-horizon pass reuses the view, so it recomputes a band's entry costs
+    once per block of ``8 * CELL_COLS`` moved columns.  On the 30x30 tail
+    (588 of 900 columns move: three blocks) D is computed six times, the
+    gather's cost table twice; 2-D costs are summed per axis, so each table
+    takes about 4 ms there.
     """
     tg, perm = priced_targets(system, targets, horizon_check)
     m = len(tg)
@@ -441,7 +454,8 @@ def level_matrix(system: MapSystem, targets: Iterable[int] | None = None,
     report = None
     if horizon_check:
         h2 = reduced_horizon(system)
-        M_half, M = exit_min_matrix(system, cols, half=h2)
+        M_half = exit_min_matrix(reduced_window(system), cols)
+        M = exit_min_matrix(system, cols, M_half.copy(), first_step=h2 + 1)
         # bit patterns: signed zeros and NaN cannot alias
         moved = (M.view(np.int64) != M_half.view(np.int64)).any(axis=0)
         M_half = M_half[:, moved]

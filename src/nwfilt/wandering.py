@@ -24,10 +24,6 @@ class WanderingCertificate:
     eps: float     # level(x, z), the excursion budget
     gap: float     # level(z, x) - level(x, z) > 0
 
-    @property
-    def return_level(self) -> float:
-        return self.eps + self.gap
-
 
 def find_wandering_certificates(matrix: LevelMatrix, min_gap: float,
                                 limit: int | None = None) -> list[WanderingCertificate]:

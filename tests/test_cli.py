@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import time
 from dataclasses import replace
 
@@ -228,11 +229,12 @@ class TestAnalyze:
             assert capsys.readouterr().out == gated
             assert shapes.count((n, n)) == 1
 
-    @pytest.mark.parametrize("cmd, arrays", [("analyze", 3), ("detect", 2), ("flow", 2)])
+    @pytest.mark.parametrize("cmd, arrays", [("analyze", 3), ("detect", 2), ("flow", 3)])
     def test_level_arrays_priced_before_allocation(self, tmp_path, capsys, monkeypatch,
                                                    cmd, arrays):
-        """D, M, the half-horizon M of analyze's check, and the levels, priced
-        against core.MAX_MATRIX_BYTES before any of them is allocated."""
+        """D, M, the second M that prices analyze's horizon check (on maps and
+        flows alike), and the levels, priced against core.MAX_MATRIX_BYTES
+        before any of them is allocated."""
         def no_product(*args):
             raise AssertionError("allocated past the gate")
 
@@ -481,6 +483,27 @@ class TestDiagram:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.count("\n") == 1
             assert hint in captured.err
+
+    def test_svg_smaller_than_its_margins_rejected_before_any_work(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        """A canvas with no room for the plot inside the margins (58 x 44 px) once
+        wrote negative widths; it exits 2 with nothing on stdout and no SVG."""
+        spec = f2_spec(tmp_path, h=0.25)
+        svg = tmp_path / "d.svg"
+        loads = []
+        monkeypatch.setattr("nwfilt.cli.load_system",
+                            lambda path: loads.append(path) or load_system(path))
+        argv = ["diagram", spec, "--eps-max", "1", "--eps-step", "0.5", "--svg", str(svg)]
+        for size in (["--width", "1", "--height", "1"], ["--width", "59"], ["--height", "44"],
+                     ["--width", "-640"]):
+            assert main(argv + size) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert "leaves no room for the plot" in captured.err
+        assert loads == [] and not svg.exists()
+        assert main(argv + ["--width", "60", "--height", "45"]) == 0
+        sizes = re.findall(r'(?:width|height)="(-?[0-9.]+)"', svg.read_text())
+        assert sizes and min(map(float, sizes)) > 0
 
     def test_magnitudes_at_the_gate(self):
         from argparse import Namespace

@@ -159,6 +159,15 @@ class TestSvg:
         with pytest.raises(ValueError, match="CSV/JSON"):
             render_svg(doc)
 
+    @pytest.mark.parametrize("width, height", [(1, 1), (59, 420), (640, 44), (0, 0)])
+    def test_canvas_smaller_than_the_margins_rejected(self, small_f2, width, height):
+        sys, summ = small_f2
+        doc = build_document(summ, diagram(summ, [pos_level(0.5)]), {"name": "f2", "kind": "map"},
+                             sys.space.coords, sys.spacing)
+        with pytest.raises(ValueError, match="no room for the plot"):
+            render_svg(doc, width, height)
+        assert b'width="-' not in render_svg(doc, 60, 45)
+
     def test_monotone_columns_enforced(self, small_f2):
         sys, summ = small_f2
         bogus = [DiagramSlice(pos_level(0.0), np.array([3, 4])),

@@ -597,17 +597,27 @@ class TestWindowFilter:
         assert visited_bounded < visited_plain
 
 
+def lowered_exit_min(system, cols):
+    """The exit minima of the half window (steps first_step..h2), then the same
+    array lowered in place over steps h2 + 1..horizon (none when h2 is the
+    horizon)."""
+    short = half_horizon(system)
+    half = exit_min_matrix(short, cols)
+    got_half = half.copy()
+    assert exit_min_matrix(system, cols, half, first_step=short.horizon + 1) is half
+    return got_half, half
+
+
 class TestTwoHorizonExitMin:
-    """exit_min_matrix(..., half=h2) folds both horizons in one pass; each result
-    equals the exit minima of its own system and the scanned ones bit for bit."""
+    """The reduced window's exit minima, lowered in place over the rest of the
+    window by exit_min_matrix(..., out, first_step=h2 + 1), are the whole
+    window's; each result equals the scanned exit minima bit for bit."""
 
     @staticmethod
     def check(system):
         h2 = half_horizon(system).horizon
         for cols in (np.arange(system.n), np.array([0, 3, 5]) % system.n):
-            got_half, got_full = exit_min_matrix(system, cols, half=h2)
-            want_half = exit_min_matrix(half_horizon(system), cols)
-            assert got_half.tobytes() == want_half.tobytes()
+            got_half, got_full = lowered_exit_min(system, cols)
             assert got_half.tobytes() == scan_exit_min(system, cols, h2).tobytes()
             assert got_full.tobytes() == exit_min_matrix(system, cols).tobytes()
             assert got_full.tobytes() == scan_exit_min(system, cols).tobytes()
@@ -635,7 +645,7 @@ class TestTwoHorizonExitMin:
                                       box=[[-2, 2]], spacing=0.1, horizon=8)
         assert np.isnan(system.orbit_coords[:, 4:]).any()
         self.check(system)
-        half, full = exit_min_matrix(system, np.arange(system.n), half=4)
+        half, full = lowered_exit_min(system, np.arange(system.n))
         early = np.isnan(system.orbit_coords[:, :4, 0]).any(axis=1)
         late = np.isnan(system.orbit_coords[:, 4:, 0]).any(axis=1)
         assert (late & ~early).any()
@@ -646,7 +656,8 @@ class TestTwoHorizonExitMin:
     def test_indexed_ends(self, horizon):
         """Horizon 1 leaves one iterate per prefix, and some targets lie below or
         above every iterate: the padded ends select the scan's floats.  With NaN
-        iterates (sorted last) each row holding one is NaN, as in the scan."""
+        iterates (sorted last) each row holding one is NaN, as in the scan.  The
+        prefix's minima are lowered in place by the remaining iterates."""
         rng = np.random.default_rng(horizon)
         cand = rng.uniform(-1.0, 1.0, (40, horizon, 1))
         t = np.concatenate([[-5.0, -1.0, 1.0, 5.0], cand[:4, 0, 0],
@@ -657,7 +668,10 @@ class TestTwoHorizonExitMin:
                 cand[::3, rng.integers(0, horizon)] = np.nan
                 cand[5] = np.nan
                 cand[7, horizon // 2:] = np.nan
-            for got, k in zip(nearest_exit_costs(cand, t[:, None], half=half), (half, horizon)):
+            got = nearest_exit_costs(cand[:, :half], t[:, None])
+            for k in (half, horizon):
+                if k > half:
+                    assert nearest_exit_costs(cand[:, half:], t[:, None], got) is got
                 want = np.abs(cand[:, :k, 0, None] - t[None, None, :]).min(axis=1)
                 assert got.tobytes() == want.tobytes()
 
@@ -743,6 +757,24 @@ class TestLevelMatrixMemory:
         assert peak < self.BOUND * 8 * system.n ** 2
         peak = traced_peak(lambda: level_matrix(system, horizon_check=True))
         assert peak < (self.BOUND + 1) * 8 * system.n ** 2
+
+
+class TestLevelSummaryMemory:
+    """level_summary's horizon check holds one (n, m) array of exit minima: it
+    runs the gated pass on the reduced window's minima, then lowers the same
+    array in place.  The tabulated gather adds its (n, m) cost table, built by
+    column chunk, while it runs."""
+
+    def test_map(self):
+        system = build_grid_system("f2", box=[[-5, 5]], spacing=0.01, horizon=64)
+        peak = traced_peak(lambda: level_summary(system, 2 * system.spacing,
+                                                 horizon_check=True))
+        assert peak < 1.4 * 8 * system.n ** 2
+
+    def test_coordinate_table(self):
+        system = coordinate_table(1000, 2, 8, seed=3)
+        peak = traced_peak(lambda: level_summary(system, 0.0, horizon_check=True))
+        assert peak < 2.3 * 8 * system.n ** 2
 
 
 class TestInfiniteCosts:
@@ -1084,3 +1116,30 @@ class TestLevelSummary:
         cost = np.ones((3, 3)) - np.eye(3)
         cycle = build_tabulated_system([1, 2, 0], horizon=2, cost_matrix=cost)
         assert np.all(np.isnan(level_summary(cycle, 0.0).beta))       # none gated
+
+
+class TestLoweredExitMin:
+    """On every gated case (cost tables, coordinate tables with d = 1, 2 and 3,
+    the plane, exit windows from steps 2 and 3, NaN orbits and flows), the
+    reduced window's exit minima lowered in place over the rest of the window
+    are exit_min_matrix over the whole window, compared as int64 views."""
+
+    @pytest.mark.parametrize("case", sorted(GATED_CASES))
+    def test_equals_the_whole_window(self, case):
+        system = GATED_CASES[case][0]()
+        for cols in (np.arange(system.n), np.arange(system.n)[::-3]):
+            _, got = lowered_exit_min(system, cols)
+            want = exit_min_matrix(system, cols)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_one_step_window_has_no_late_part(self):
+        """With one step in the window the reduced window is the whole one, and
+        lowering over the empty rest leaves the minima as they are."""
+        systems = [cost_table(40, 1, 0), nan_orbit(1)]
+        systems += [replace(s, first_step=s.horizon) for s in window_systems(2)]
+        for system in systems:
+            assert half_horizon(system).horizon == system.horizon
+            cols = np.arange(system.n)
+            want = exit_min_matrix(system, cols)
+            got = exit_min_matrix(system, cols, want.copy(), first_step=system.horizon + 1)
+            assert got.tobytes() == want.tobytes()
