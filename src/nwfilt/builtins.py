@@ -229,6 +229,11 @@ def analytic_level(name: str, x, which: str = "lambda") -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def tail_size(n_max: int, m_max: int) -> tuple[int, int]:
+    """Sample count and default horizon of ``counterexample_tail(n_max, m_max)``."""
+    return n_max + (n_max - 1) * m_max, n_max + m_max + 2
+
+
 def counterexample_tail(n_max: int, m_max: int,
                         horizon: int | None = None) -> MapSystem:
     """Tabulated planar system on a tail A and a shadowing lattice B.
@@ -262,7 +267,7 @@ def counterexample_tail(n_max: int, m_max: int,
             target = (n + 1, m - 1) if n < n_max else (n, m - 1)
         table[i] = index[target]
     if horizon is None:
-        horizon = n_max + m_max + 2
+        horizon = tail_size(n_max, m_max)[1]
     return build_tabulated_system(table, horizon=horizon,
                                   coords=np.asarray(coords, dtype=float),
                                   name=TAIL_NAME)

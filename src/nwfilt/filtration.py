@@ -36,6 +36,7 @@ from .core import Branch, ExtendedLevel, MapSystem
 from .links import LevelMatrix
 
 SUMMARY_ROWS = 256   # level rows per band of the beta reduction
+STRIP_COLS = 64      # gated columns per chunk of strip_robustness: whole product cells
 
 
 @dataclass(frozen=True)
@@ -118,54 +119,45 @@ def diagonal_levels(D, M: np.ndarray) -> np.ndarray:
 
 def strip_robustness(D: links.EntryCostRows, M: np.ndarray, gated: np.ndarray,
                      threads: int = 1) -> np.ndarray:
-    """beta of the gated targets from the row and column strips of the product.
+    """beta of the gated targets from the rows L[G, :] and the block L[Gᶜ, G].
 
-    beta(x) reads only row x and column x of L = min_z max(D, M): the rows
-    L[G, :] are the product of the entry costs of the gated targets with M,
-    and the columns L[:, G] that of D with M[:, G].  That is 2 |G| m entries
-    instead of m^2, and no (m, m) array.  Returns beta over all targets, NaN
-    outside the gate.
+    beta(x) reads only row x and column x of L = min_z max(D, M), for x in
+    the gate G.  The rows L[G, :] are the product of the gated targets' entry
+    costs with M; they hold the G part of every gated column too.  So only
+    the block L[Gᶜ, G] is computed beside them, ``STRIP_COLS`` gated columns
+    at a time, and each chunk's returns L[:, c] are reduced at once: |G| m +
+    |Gᶜ| |G| entries, and no (m, m) or (m, |G|) array.  Every entry is the
+    product's own float, so beta is that of the whole product bit for bit.
+    Returns beta over all targets, NaN outside the gate.
     """
     beta = np.full(len(gated), np.nan)
-    if gated.any():
-        rows = links.bottleneck_product(links.EntryCostRows(D.system, D.cols[gated]),
-                                        M, threads)
-        cols = links.bottleneck_product(D, M[:, gated], threads)
-        beta[gated] = _excursions(rows, cols.T)
+    g, rest = np.flatnonzero(gated), np.flatnonzero(~gated)
+    if len(g) == 0:
+        return beta
+    rows = links.bottleneck_product(links.EntryCostRows(D.system, D.cols[g]), M, threads)
+    D_rest = links.EntryCostRows(D.system, D.cols[rest])
+    for a in range(0, len(g), STRIP_COLS):
+        c = g[a:a + STRIP_COLS]
+        returns = np.empty((len(c), len(gated)))       # L[:, c].T
+        returns[:, g] = rows[:, c].T
+        if len(rest):
+            returns[:, rest] = links.bottleneck_product(D_rest, M[:, c], threads).T
+        beta[c] = _excursions(rows[a:a + STRIP_COLS], returns)
     return beta
-
-
-def _gated_levels(D: links.EntryCostRows, exits: list[np.ndarray], zero_tol: float,
-                  threads: int) -> tuple[np.ndarray, np.ndarray]:
-    """lam and beta in D's target order from the exit minima taken off ``exits``.
-
-    When that leaves this call the only holder, they are freed before the
-    whole product's beta reduction, as ``level_matrix`` frees them before
-    undoing the cell order.
-    """
-    M = exits.pop()
-    lam = diagonal_levels(D, M)
-    gated = lam <= zero_tol
-    if 2 * np.count_nonzero(gated) <= len(lam):
-        return lam, strip_robustness(D, M, gated, threads)
-    # most samples pass the gate: the strips would cover the whole product
-    L = links.bottleneck_product(D, M, threads)
-    del M
-    return lam, _robustness(L, lam, zero_tol)
 
 
 def level_summary(system: MapSystem, zero_tol: float, threads: int = 1,
                   horizon_check: bool = False
                   ) -> LevelSummary | tuple[LevelSummary, LevelSummary]:
     """lam and beta of every sample, as ``summarize(level_matrix(system))`` bit for bit,
-    without the whole level matrix when few samples pass the gate.
+    without the whole level matrix.
 
     lam is the diagonal of the product (``diagonal_levels``).  beta is defined
-    only on the gate G = {lam <= zero_tol}: when |G| <= m / 2 it comes from
-    the two strips of ``strip_robustness``, otherwise from the whole product.
-    The arrays are priced, ordered and read as in ``level_matrix``: all
-    samples are targets, in cell order, D is an ``EntryCostRows`` view and
-    the results are put back in sample order.
+    only on the gate G = {lam <= zero_tol} and comes from ``strip_robustness``:
+    the rows L[G, :] and the block L[Gᶜ, G] by column chunk, whatever the
+    size of G.  The arrays are priced, ordered and read as in
+    ``level_matrix``: all samples are targets, in cell order, D is an
+    ``EntryCostRows`` view and the results are put back in sample order.
 
     With ``horizon_check``, returns the pair (summary, summary at the reduced
     horizon, ``links.reduced_horizon``) from one array of exit minima: the
@@ -179,16 +171,17 @@ def level_summary(system: MapSystem, zero_tol: float, threads: int = 1,
     D = links.EntryCostRows(system, cols)
     inv = np.argsort(perm)
 
-    def summary(exits: list[np.ndarray]) -> LevelSummary:
-        lam, beta = _gated_levels(D, exits, zero_tol, threads)
+    def summary(M: np.ndarray) -> LevelSummary:
+        lam = diagonal_levels(D, M)
+        beta = strip_robustness(D, M, lam <= zero_tol, threads)
         return LevelSummary(lam=lam[inv], beta=beta[inv], zero_tol=float(zero_tol), targets=tg)
 
     if not horizon_check:
-        return summary([links.exit_min_matrix(system, cols)])
-    exits = [links.exit_min_matrix(links.reduced_window(system), cols)]
-    half = summary(exits[:])                       # exits still holds M, to lower it
-    links.exit_min_matrix(system, cols, exits[0], first_step=links.reduced_horizon(system) + 1)
-    return summary(exits), half
+        return summary(links.exit_min_matrix(system, cols))
+    M = links.exit_min_matrix(links.reduced_window(system), cols)
+    half = summary(M)
+    links.exit_min_matrix(system, cols, M, first_step=links.reduced_horizon(system) + 1)
+    return summary(M), half
 
 
 def _pos_member(summary: LevelSummary, magnitude: float) -> np.ndarray:

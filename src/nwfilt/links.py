@@ -395,8 +395,7 @@ def priced_targets(system: MapSystem, targets: Iterable[int] | None = None,
     the exit minima, (m, n) each, a second set of exit minima with
     ``horizon_check``, and the (m, m) levels: 8 * m * ((3 or 2) * n + m) bytes.
     The price is conservative: D is computed by row band, ``level_summary``
-    holds one set of exit minima with the check, and no (m, m) levels when
-    few samples pass its gate.
+    holds one set of exit minima with the check, and no (m, m) levels.
     """
     n = system.n
     if n == 0:

@@ -23,13 +23,15 @@ back to the registry defaults of the builtin.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import builtins as reg
-from .core import DEFAULT_MAX_SAMPLES, build_tabulated_system
+from .core import (DEFAULT_MAX_SAMPLES, ResourceLimitError, build_tabulated_system,
+                   check_store_size)
 
 
 class SpecError(ValueError):
@@ -64,6 +66,19 @@ def _require(cond: bool, msg: str) -> None:
         raise SpecError(msg)
 
 
+def _num(v, integer: bool = False) -> bool:
+    """Whether a JSON value is a number (an integer if asked) that converts to a
+    float: true and false are not numbers."""
+    return (isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
+            and (isinstance(v, float) or abs(v) <= sys.float_info.max))
+
+
+def _n_max(horizon: dict, default: int) -> int:
+    n_max = horizon.get("n_max", default)
+    _require(_num(n_max, True) and n_max >= 1, '"horizon.n_max" must be a positive integer')
+    return n_max
+
+
 def build_from_spec(spec: dict, max_samples: int = DEFAULT_MAX_SAMPLES) -> LoadedSystem:
     kind = spec.get("kind")
     _require(kind in ("map", "semiflow"), f'"kind" must be "map" or "semiflow", got {kind!r}')
@@ -76,9 +91,8 @@ def build_from_spec(spec: dict, max_samples: int = DEFAULT_MAX_SAMPLES) -> Loade
     _require(isinstance(horizon, dict), '"horizon" must be an object')
     tol = spec.get("tolerance", {"tau": "auto"})
     tau_raw = tol.get("tau", "auto") if isinstance(tol, dict) else None
-    _require(tau_raw == "auto" or isinstance(tau_raw, (int, float)),
-             '"tolerance.tau" must be a number or "auto"')
-    if isinstance(tau_raw, (int, float)):
+    _require(tau_raw == "auto" or _num(tau_raw), '"tolerance.tau" must be a number or "auto"')
+    if _num(tau_raw):
         _require(tau_raw >= 0, '"tolerance.tau" must be non-negative')
 
     if "table" in keys:
@@ -101,13 +115,17 @@ def build_from_spec(spec: dict, max_samples: int = DEFAULT_MAX_SAMPLES) -> Loade
     if b.kind == "table":
         _require(kind == "map", f"builtin {name!r} is a map")
         _require(grid is None, f"builtin {name!r} builds its own points; drop the grid section")
-        n_max = int(params.get("n_max", 50))
-        m_max = int(params.get("m_max", 50))
-        try:
-            system = reg.counterexample_tail(n_max, m_max,
-                                             horizon=horizon.get("n_max"))
-        except ValueError as e:
-            raise SpecError(str(e)) from None
+        n_max, m_max = params.get("n_max", 50), params.get("m_max", 50)
+        _require(_num(n_max, True) and _num(m_max, True) and n_max >= 2 and m_max >= 1,
+                 "need integers n_max >= 2 and m_max >= 1")
+        n, steps = reg.tail_size(n_max, m_max)         # priced before the tail is built
+        steps = _n_max(horizon, steps)
+        if n > max_samples:
+            raise ResourceLimitError(f"{name} would have {n} samples, cap is {max_samples}; "
+                                     "lower its n_max or m_max")
+        check_store_size(8 * n * steps, f"the orbit table ({n} samples x {steps} iterates)",
+                         "lower horizon.n_max")
+        system = reg.counterexample_tail(n_max, m_max, horizon=steps)
         tau = 0.0 if tau_raw == "auto" else float(tau_raw)
         meta = {"name": name, "kind": "map", "box": None, "h": None,
                 "horizon": {"n_max": system.horizon},
@@ -117,8 +135,7 @@ def build_from_spec(spec: dict, max_samples: int = DEFAULT_MAX_SAMPLES) -> Loade
     _require(kind == b.kind, f"builtin {name!r} is a {b.kind}, not a {kind}")
     box, h = _grid_fields(grid, b)
     if kind == "map":
-        n_max = horizon.get("n_max", b.default_horizon)
-        _require(isinstance(n_max, int) and n_max >= 1, '"horizon.n_max" must be a positive integer')
+        n_max = _n_max(horizon, b.default_horizon)
         system = reg.build_grid_system(name, box=box, spacing=h, horizon=n_max,
                                        max_samples=max_samples)
         tau = 2.0 * h if tau_raw == "auto" else float(tau_raw)
@@ -130,7 +147,7 @@ def build_from_spec(spec: dict, max_samples: int = DEFAULT_MAX_SAMPLES) -> Loade
     t_min = horizon.get("t_min", b.default_t_min)
     t_max = horizon.get("t_max", b.default_t_max)
     for fieldname, v in (("dt", dt), ("t_min", t_min), ("t_max", t_max)):
-        _require(isinstance(v, (int, float)) and v > 0, f'"horizon.{fieldname}" must be positive')
+        _require(_num(v) and v > 0, f'"horizon.{fieldname}" must be positive')
     _require(dt <= t_min <= t_max, "need dt <= t_min <= t_max")
     system = reg.build_builtin_flow(name, box=box, spacing=h, dt=float(dt),
                                     t_min=float(t_min), t_max=float(t_max),
@@ -148,11 +165,13 @@ def _grid_fields(grid, b) -> tuple[list, float]:
     _require(isinstance(grid, dict), '"grid" must be an object')
     box = grid.get("box", [list(b.default_box)])
     _require(isinstance(box, list) and box and all(
-        isinstance(iv, list) and len(iv) == 2 for iv in box), '"grid.box" must be [[lo, hi], ...]')
+        isinstance(iv, list) and len(iv) == 2 and all(
+            _num(v) and abs(v) < np.inf for v in iv) for iv in box),
+             '"grid.box" must be [[lo, hi], ...]')
     _require(len(box) == 1, f'builtin {b.name!r} lives on the line; "grid.box" must be '
              f'one [lo, hi] interval, got {len(box)}')
     h = grid.get("h", b.default_spacing)
-    _require(isinstance(h, (int, float)) and h > 0, '"grid.h" must be positive')
+    _require(_num(h) and 0 < h < np.inf, '"grid.h" must be positive and finite')
     return box, float(h)
 
 
@@ -160,7 +179,9 @@ def _build_table(table: dict, horizon: dict, tau_raw) -> LoadedSystem:
     _require(isinstance(table, dict), '"table" must be an object')
     _require("map" in table, '"table.map" is required')
     step = table["map"]
-    _require(isinstance(step, list) and step, '"table.map" must be a non-empty index list')
+    _require(isinstance(step, list) and step and all(
+        _num(i, True) and 0 <= i < len(step) for i in step),
+             '"table.map" must be a non-empty list of sample indices')
     n = len(step)
     points = table.get("points")
     cost = table.get("cost", "euclidean")
@@ -172,11 +193,16 @@ def _build_table(table: dict, horizon: dict, tau_raw) -> LoadedSystem:
     else:
         _require(isinstance(cost, list), '"table.cost" must be "euclidean" or a matrix')
         try:
+            if any(isinstance(v, bool) for row in cost for v in row):
+                raise ValueError("a boolean is not a cost")
             matrix = np.asarray([[float(v) for v in row] for row in cost], dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise SpecError('"table.cost" entries must be numbers or "inf"') from None
         _require(matrix.shape == (n, n), '"table.cost" matrix must be n x n')
     if points is not None:
+        _require(isinstance(points, list) and all(
+            _num(v) for p in points for v in (p if isinstance(p, list) else [p])),
+            '"table.points" must be a list of coordinate lists')
         try:
             coords = np.asarray(points, dtype=float)
         except (TypeError, ValueError):
@@ -185,8 +211,7 @@ def _build_table(table: dict, horizon: dict, tau_raw) -> LoadedSystem:
             coords = coords[:, None]
         _require(coords.shape[0] == n, '"table.points" must match the map length')
         _require(bool(np.all(np.isfinite(coords))), '"table.points" must be finite numbers')
-    n_max = horizon.get("n_max", 2 * n)
-    _require(isinstance(n_max, int) and n_max >= 1, '"horizon.n_max" must be a positive integer')
+    n_max = _n_max(horizon, 2 * n)
     try:
         system = build_tabulated_system(step, horizon=n_max, coords=coords,
                                         cost_matrix=matrix, name="table")

@@ -8,12 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nwfilt import cli, core, flows, links
+from nwfilt import builtins, cli, core, flows, links
 from nwfilt.cli import main
 from nwfilt.core import ResourceLimitError
 from nwfilt.filtration import summarize
 from nwfilt.links import horizon_stability, level_matrix
-from nwfilt.specfile import load_system
+from nwfilt.specfile import build_from_spec, load_system
 
 
 def write_spec(tmp_path, name, payload):
@@ -207,8 +207,9 @@ class TestAnalyze:
         assert "horizon check skipped: n=81 > 80\n" in err and "horizon check at" not in err
 
     def test_gated_analyze_builds_no_level_matrix(self, tmp_path, capsys, monkeypatch):
-        """analyze reads lam and beta off the product's diagonal and two strips:
-        no (m, m) product without --matrix-out, one with it."""
+        """analyze reads lam and beta off the product's diagonal, the gated rows
+        and the complement block by column chunk: no (m, m) product without
+        --matrix-out, one with it."""
         shapes = []
         product = links.bottleneck_product
 
@@ -223,7 +224,7 @@ class TestAnalyze:
             shapes.clear()
             assert main(["analyze", spec]) == 0
             gated = capsys.readouterr().out
-            assert len(shapes) == 4 and (n, n) not in shapes     # two strips per horizon
+            assert len(shapes) == 4 and (n, n) not in shapes     # rows and one chunk per horizon
             shapes.clear()
             assert main(["analyze", spec, "--matrix-out", str(tmp_path / "m.csv")]) == 0
             assert capsys.readouterr().out == gated
@@ -319,6 +320,72 @@ class TestAnalyze:
             assert main(["analyze", spec]) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and "'bogus'" in captured.err
+
+    @pytest.mark.parametrize("base, section, key, value", [
+        ("f2", "horizon", "n_max", True),            # was a TypeError traceback, exit 1
+        ("f2", "tolerance", "tau", True),            # these six were read as 1
+        ("f2", "grid", "h", True),
+        ("f2", "grid", "h", math.inf),                # was one sample at coordinate NaN, exit 0
+        ("f2", "grid", "box", [[True, 1.0]]),
+        ("f2", "grid", "box", [[-math.inf, 1.0]]),   # was an OverflowError traceback, exit 1
+        ("f2", "grid", "box", [[math.nan, 1.0]]),
+        ("f2", "grid", "box", [[-1, 10 ** 400]]),      # was an OverflowError traceback, exit 1
+        ("f2", "tolerance", "tau", 10 ** 400),
+        ("flow", "horizon", "dt", True),
+        ("table", "table", "map", [1, True]),
+        ("table", "table", "map", [1, 2 ** 70]),     # was an OverflowError traceback, exit 1
+        ("table", "table", "points", [[0.0], [True]]),
+        ("table", "table", "cost", [[0.0, True], [1.0, 0.0]]),
+        ("table", "table", "cost", [[0.0, 10 ** 400], [1.0, 0.0]]),
+        ("tail", "params", "n_max", 4.7),            # was truncated to 4
+        ("tail", "params", "m_max", True),
+        ("tail", "params", "n_max", "5"),
+        ("tail", "horizon", "n_max", 4.0),           # was a TypeError traceback, exit 1
+    ])
+    def test_malformed_numbers_rejected(self, tmp_path, capsys, base, section, key, value):
+        """JSON true is not the number 1, a count is an integer, and the box and
+        the spacing are finite: each spec runs as written and exits 2, with one stderr line
+        and nothing on stdout, once the one value is replaced."""
+        payload = {
+            "f2": {"kind": "map", "source": {"builtin": "f2"},
+                   "grid": {"box": [[-1.0, 1.0]], "h": 0.1}},
+            "flow": flow_spec("flow_att"),
+            "table": {"kind": "map", "source": {"table": {"points": [[0.0], [1.0]],
+                                                          "map": [1, 0]}}},
+            "tail": tail_spec(4, 3)}[base]
+        assert main(["analyze", write_spec(tmp_path, "ok.json", payload)]) == 0
+        capsys.readouterr()
+        where = payload["source"] if section in ("table", "params") else payload
+        where.setdefault(section, {})[key] = value
+        assert main(["analyze", write_spec(tmp_path, "bad.json", payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("spec error: ") and captured.err.count("\n") == 1
+
+    def test_tail_size_priced_before_it_is_built(self, tmp_path, capsys, monkeypatch):
+        """The tail's sample count is priced against max_samples and its orbit
+        table against core.MAX_STORE_BYTES before a point of it is built."""
+        def no_tail(*args, **kwargs):
+            raise AssertionError("built past the gate")
+
+        monkeypatch.setattr(builtins, "counterexample_tail", no_tail)
+        spec = write_spec(tmp_path, "big.json", tail_spec(700, 700))     # 490,000 samples
+        assert main(["analyze", spec]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "490000 samples, cap is 200000" in captured.err
+        with pytest.raises(ResourceLimitError, match="82 samples"):
+            build_from_spec(tail_spec(10, 8), max_samples=81)        # 10 + 9 * 8 samples
+        price = 82 * 20 * 8                                         # horizon 10 + 8 + 2
+        monkeypatch.setattr(core, "MAX_STORE_BYTES", price - 1)
+        spec = write_spec(tmp_path, "tail.json", tail_spec(10, 8))
+        assert main(["analyze", spec]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "orbit table (82 samples x 20 iterates)" in captured.err
+        monkeypatch.undo()
+        monkeypatch.setattr(core, "MAX_STORE_BYTES", price)
+        assert build_from_spec(tail_spec(10, 8), max_samples=82).system.n == 82
+        assert main(["analyze", spec]) == 0
 
     def test_golden_flow_stdout(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "fy.json", flow_spec("flow_Y"))
@@ -465,6 +532,23 @@ class TestDiagram:
                 "792f8b7d14c6433ce5ef5a54aba9600ee04c3bf79758c596d6992d570d0948c3")
             assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
                 "4f151e6e3a5d25925fd1c6461ae362a9ad4a0f3cdcc870a57a55939d4591541f")
+
+    def test_golden_flow_att_workload(self, tmp_path, capsys):
+        """The benchmark's diagram_flow_att command (n = 1201, 605 samples
+        gated), at one and three threads: its pinned stdout and SVG bytes."""
+        spec = write_spec(tmp_path, "att.json", {
+            "kind": "semiflow", "source": {"builtin": "flow_att"},
+            "grid": {"box": [[-3.0, 3.0]], "h": 0.005},
+            "horizon": {"dt": 0.01, "t_min": 1.0, "t_max": 20.0}})
+        svg = tmp_path / "d.svg"
+        for threads in ("1", "3"):
+            assert main(["diagram", spec, "--eps-max", "2", "--eps-step", "0.25",
+                         "--svg", str(svg), "--threads", threads]) == 0
+            stdout = capsys.readouterr().out.encode()
+            assert hashlib.sha256(stdout).hexdigest() == (
+                "84c5fd5c45d49f8124149a3a16b8fc479c52ac97c8421c73bb53cf2ea4d1a64e")
+            assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+                "eb1affd097fb3718eac11b6a9aa6270159336b8db4fb0e59b60314a2ba90e278")
 
     def test_zero_step_rejected(self, tmp_path):
         spec = f2_spec(tmp_path)

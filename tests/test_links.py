@@ -8,7 +8,7 @@ from nwfilt.builtins import (build_builtin_flow, build_grid_system, builtin,
                              builtin_names, counterexample_tail)
 from nwfilt.core import (CostSpace, MapSystem, ResourceLimitError, build_sampled_system,
                          build_tabulated_system)
-from nwfilt import core, links
+from nwfilt import core, filtration, links
 from nwfilt.filtration import level_summary, strip_robustness, summarize
 from nwfilt.links import (EntryCostRows, HorizonStabilityReport, LevelMatrix,
                           bottleneck_product, cell_order, entry_cost_rows, exit_min_matrix,
@@ -763,7 +763,9 @@ class TestLevelSummaryMemory:
     """level_summary's horizon check holds one (n, m) array of exit minima: it
     runs the gated pass on the reduced window's minima, then lowers the same
     array in place.  The tabulated gather adds its (n, m) cost table, built by
-    column chunk, while it runs."""
+    column chunk, while it runs.  The gated pass holds the rows L[G, :] and
+    one column chunk of its returns, never an (m, m) array, however many
+    samples pass the gate."""
 
     def test_map(self):
         system = build_grid_system("f2", box=[[-5, 5]], spacing=0.01, horizon=64)
@@ -775,6 +777,15 @@ class TestLevelSummaryMemory:
         system = coordinate_table(1000, 2, 8, seed=3)
         peak = traced_peak(lambda: level_summary(system, 0.0, horizon_check=True))
         assert peak < 2.3 * 8 * system.n ** 2
+
+    def test_flow(self):
+        # 605 of 1201 samples pass the gate; with an (m, m) product the peak is 2.18
+        system = build_builtin_flow("flow_att", box=[[-3, 3]], spacing=0.005, dt=0.01,
+                                    t_min=1.0, t_max=20.0)
+        zero_tol = 2 * system.spacing
+        peak = traced_peak(lambda: level_summary(system, zero_tol))
+        assert np.count_nonzero(level_summary(system, zero_tol).lam <= zero_tol) == 605
+        assert peak < 1.9 * 8 * system.n ** 2
 
 
 class TestInfiniteCosts:
@@ -1072,8 +1083,9 @@ def assert_same_levels(got, want):
 
 class TestLevelSummary:
     """filtration.level_summary reads lam off the product's diagonal and beta off
-    two strips (or the whole product when most samples pass the gate): the same
-    floats as summarize(level_matrix(...)), at the full and the half horizon."""
+    the gated rows and the complement block, one column chunk at a time: the
+    same floats as summarize(level_matrix(...)), at the full and the half
+    horizon, whatever the size of the gate."""
 
     @pytest.mark.parametrize("case", sorted(GATED_CASES))
     def test_equals_the_whole_matrix_summary(self, case):
@@ -1091,8 +1103,8 @@ class TestLevelSummary:
     @pytest.mark.parametrize("case", ["counterexample_tail", "f2", "identity", "flow_att",
                                       "cost_table_h3_s0", "coordinate_table_d2", "nan_orbit_h1"])
     def test_strips_on_both_sides_of_the_switch(self, case):
-        """strip_robustness gives beta for any gate, also where level_summary
-        takes the whole product instead (more than half the samples pass)."""
+        """strip_robustness gives beta for any gate, with at most and with more
+        than half of the samples gated."""
         build, gates = GATED_CASES[case]
         system = build()
         tg, perm = links.priced_targets(system)
@@ -1109,6 +1121,21 @@ class TestLevelSummary:
                 got = strip_robustness(D, M, gated, threads)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert sides == {True, False}
+
+    @pytest.mark.parametrize("strip_cols", [1, 3, 64])
+    @pytest.mark.parametrize("case", sorted(GATED_CASES))
+    def test_any_column_chunk(self, case, strip_cols, monkeypatch):
+        """Gates from none to every sample (the complement empty), chunks of
+        one, three and 64 gated columns, and 1 to 3 threads: the floats of the
+        whole matrix's summary, compared as int64 views."""
+        monkeypatch.setattr(filtration, "STRIP_COLS", strip_cols)
+        build, gates = GATED_CASES[case]
+        system = build()
+        full = level_matrix(system)
+        for zero_tol in (-np.inf, *gates, np.inf):
+            want = summarize(full, zero_tol)
+            for threads in (1, 2, 3):
+                assert_same_levels(level_summary(system, zero_tol, threads), want)
 
     def test_empty_and_full_gate(self):
         ident = build_grid_system("identity", box=[[-1, 1]], spacing=0.1, horizon=3)

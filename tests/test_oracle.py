@@ -111,7 +111,9 @@ class TestExitWindow:
 
 class TestGatedReduction:
     """The gated pass (filtration.level_summary: lam off the diagonal, beta off
-    two strips or the whole product) reproduces the definitional slices."""
+    the gated rows and the complement block by column chunk) reproduces the
+    definitional slices, with at most and with more than half of the samples
+    gated."""
 
     def test_both_sides_of_the_switch_pass(self):
         sides = set()
