@@ -36,8 +36,8 @@ from .core import ExtendedLevel, Branch, ResourceLimitError
 from .filtration import diagram, level_summary, summarize
 from .flows import IntegrationError
 from .links import level_matrix, reduced_horizon
-from .export import (build_document, check_svg_size, export_diagram_json,
-                     export_levels_csv, render_svg)
+from .export import (build_document, check_svg_coords, check_svg_size,
+                     export_diagram_json, export_levels_csv, render_svg)
 from .specfile import LoadedSystem, SpecError, instance_to_spec, load_system
 from .wandering import find_wandering_certificates
 
@@ -62,7 +62,9 @@ def _write(path: str | None, data: bytes) -> None:
 
 
 def _check_writable(*paths: str | None) -> None:
-    """Reject output paths that cannot be written, before any work starts."""
+    """Reject output paths that cannot be written, or that name one file twice,
+    before any work starts."""
+    seen = set()
     for p in paths:
         if p is None or p == "-":
             continue
@@ -71,6 +73,9 @@ def _check_writable(*paths: str | None) -> None:
             raise SpecError(f"cannot write {p}: no directory {path.parent}")
         if path.is_dir() or not os.access(path if path.exists() else path.parent, os.W_OK):
             raise SpecError(f"cannot write {p}")
+        if path.resolve() in seen:
+            raise SpecError(f"cannot write two outputs to {p}")
+        seen.add(path.resolve())
 
 
 def _diag(msg: str) -> None:
@@ -161,6 +166,8 @@ def cmd_diagram(args) -> int:
     check_svg_size(args.width, args.height)
     _check_writable(args.json, args.svg)
     loaded = load_system(args.spec)
+    if args.svg:
+        check_svg_coords(_coords(loaded))
     summary = level_summary(loaded.system, loaded.tau, args.threads)
     levels = [ExtendedLevel(Branch.NEG, m) for m in reversed(mags)]
     levels += [ExtendedLevel(Branch.NEG, 0.0), ExtendedLevel(Branch.POS, 0.0)]

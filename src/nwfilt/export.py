@@ -177,6 +177,12 @@ def check_svg_size(width: int, height: int) -> None:
                          f"need at least {_MIN_WIDTH}x{_MIN_HEIGHT} px")
 
 
+def check_svg_coords(coords: np.ndarray | None) -> None:
+    """Reject a system that has no 1-D coordinates to draw."""
+    if coords is None or coords.shape[1] != 1:
+        raise ValueError("SVG rendering needs a 1-D embedded system; use the CSV/JSON export")
+
+
 def render_svg(doc: DiagramDocument, width: int = 640, height: int = 420) -> bytes:
     """Render a 1-D diagram: budget on the horizontal axis (split origin marked
     by a dashed rule and a one-pixel column gap), state coordinate vertical.
@@ -187,8 +193,7 @@ def render_svg(doc: DiagramDocument, width: int = 640, height: int = 420) -> byt
     deterministic for identical documents.
     """
     check_svg_size(width, height)
-    if doc.coords is None or doc.coords.shape[1] != 1:
-        raise ValueError("SVG rendering needs a 1-D embedded system; use the CSV/JSON export")
+    check_svg_coords(doc.coords)
     slices = doc.slices
     prev: set[int] = set()
     for s in slices:

@@ -102,8 +102,9 @@ def summarize(matrix: LevelMatrix, zero_tol: float) -> LevelSummary:
                         zero_tol=float(zero_tol), targets=matrix.targets.copy())
 
 
-def diagonal_levels(D, M: np.ndarray) -> np.ndarray:
-    """lam[i] = min over z of max(D[i, z], M[z, i]): the diagonal of the product.
+def diagonal_levels(D, M: np.ndarray, start: int = 0) -> np.ndarray:
+    """lam[j] = min over z of max(D[start + j, z], M[z, j]): the product's diagonal
+    over the columns ``start..start + M.shape[1]``.
 
     D is read in bands of ``links.CELL_ROWS`` rows, as the product reads it
     (an ``EntryCostRows`` view computes only those).  Min and max select among
@@ -112,8 +113,8 @@ def diagonal_levels(D, M: np.ndarray) -> np.ndarray:
     """
     lam = np.empty(M.shape[1])
     for a in range(0, len(lam), links.CELL_ROWS):
-        band = slice(a, a + links.CELL_ROWS)
-        lam[band] = np.maximum(D[band], M[:, band].T).min(axis=1)
+        b = min(a + links.CELL_ROWS, len(lam))
+        lam[a:b] = np.maximum(D[start + a:start + b], M[:, a:b].T).min(axis=1)
     return lam
 
 
@@ -124,24 +125,36 @@ def strip_robustness(D: links.EntryCostRows, M: np.ndarray, gated: np.ndarray,
     beta(x) reads only row x and column x of L = min_z max(D, M), for x in
     the gate G.  The rows L[G, :] are the product of the gated targets' entry
     costs with M; they hold the G part of every gated column too.  So only
-    the block L[Gᶜ, G] is computed beside them, ``STRIP_COLS`` gated columns
-    at a time, and each chunk's returns L[:, c] are reduced at once: |G| m +
-    |Gᶜ| |G| entries, and no (m, m) or (m, |G|) array.  Every entry is the
-    product's own float, so beta is that of the whole product bit for bit.
-    Returns beta over all targets, NaN outside the gate.
+    the block L[Gᶜ, G] is computed beside them, by ``_strip_beta``.  Every
+    entry is the product's own float, so beta is that of the whole product
+    bit for bit.  Returns beta over all targets, NaN outside the gate.
+    """
+    g = np.flatnonzero(gated)
+    if len(g) == 0:
+        return np.full(len(gated), np.nan)
+    rows = links.bottleneck_product(links.EntryCostRows(D.system, D.cols[g]), M, threads)
+    return _strip_beta(D, rows, M, g, gated, threads)
+
+
+def _strip_beta(D: links.EntryCostRows, rows: np.ndarray, M: np.ndarray, at: np.ndarray,
+                gated: np.ndarray, threads: int) -> np.ndarray:
+    """beta from the gated rows L[G, :] and the gated exit-min columns M[:, at].
+
+    ``at[k]`` is the column of M that belongs to the k-th gated target.  The
+    block L[Gᶜ, G] is computed ``STRIP_COLS`` gated columns at a time, and
+    each chunk's returns L[:, c] are reduced at once: |G| m + |Gᶜ| |G|
+    entries in all, and no (m, m) or (m, |G|) array.
     """
     beta = np.full(len(gated), np.nan)
     g, rest = np.flatnonzero(gated), np.flatnonzero(~gated)
-    if len(g) == 0:
-        return beta
-    rows = links.bottleneck_product(links.EntryCostRows(D.system, D.cols[g]), M, threads)
     D_rest = links.EntryCostRows(D.system, D.cols[rest])
     for a in range(0, len(g), STRIP_COLS):
         c = g[a:a + STRIP_COLS]
         returns = np.empty((len(c), len(gated)))       # L[:, c].T
         returns[:, g] = rows[:, c].T
         if len(rest):
-            returns[:, rest] = links.bottleneck_product(D_rest, M[:, c], threads).T
+            returns[:, rest] = links.bottleneck_product(D_rest, M[:, at[a:a + STRIP_COLS]],
+                                                        threads).T
         beta[c] = _excursions(rows[a:a + STRIP_COLS], returns)
     return beta
 
@@ -153,35 +166,71 @@ def level_summary(system: MapSystem, zero_tol: float, threads: int = 1,
     without the whole level matrix.
 
     lam is the diagonal of the product (``diagonal_levels``).  beta is defined
-    only on the gate G = {lam <= zero_tol} and comes from ``strip_robustness``:
-    the rows L[G, :] and the block L[Gᶜ, G] by column chunk, whatever the
-    size of G.  The arrays are priced, ordered and read as in
-    ``level_matrix``: all samples are targets, in cell order, D is an
-    ``EntryCostRows`` view and the results are put back in sample order.
+    only on the gate G = {lam <= zero_tol} and reads only the rows L[G, :]
+    and the block L[Gᶜ, G] (``strip_robustness``).  The arrays are priced,
+    ordered and read as in ``level_matrix``: all samples are targets, in cell
+    order, D is an ``EntryCostRows`` view and the results are put back in
+    sample order.
+
+    The exit minima M are computed once, one band of max(``links.BAND_COLS``,
+    K) target columns at a time, K being the exit-window length.  Before any
+    of them, ``links.pre_gate`` marks a superset G⁺ of the gate from each
+    target's tau-neighbourhood: |P| K exit costs for the pairs P = {D <= tau}.
+    Each band then gives its lam, the rows L[G⁺, band] and its gated columns
+    M[:, band ∩ G⁺].  After the pass G ⊆ G⁺ is checked, the rows of G are
+    kept, and the block L[Gᶜ, G] comes from the collected columns.  So the
+    pass holds one (n, band) array of exit minima, the rows (|G⁺|, m) and the
+    columns (n, |G⁺|), never the (n, m) M.  When one band covers every target
+    the pass holds the whole M, with no pre-gate and no copy of its columns:
+    the gate comes from lam.  So it does too when the rows and columns of G⁺,
+    for both horizons with the check, would hold as many floats as M.
 
     With ``horizon_check``, returns the pair (summary, summary at the reduced
-    horizon, ``links.reduced_horizon``) from one array of exit minima: the
-    pass runs on the minima of ``links.reduced_window`` first, then on the
-    same array lowered in place over the rest of the exit window.  Maps and
+    horizon, ``links.reduced_horizon``) from the same exit minima: each band
+    (or the whole M) takes the minima over the reduced window first and is
+    then lowered in place over the rest of the exit window
+    (``links.exit_min_bands``).  Maps and
     flows take the same path, and the check holds no more (n, m) arrays than
     the pass without it.
     """
     tg, perm = links.priced_targets(system, None, horizon_check)
     cols = tg[perm]
+    m = len(cols)
     D = links.EntryCostRows(system, cols)
     inv = np.argsort(perm)
+    width = max(links.BAND_COLS, system.horizon - system.first_step + 1)
 
-    def summary(M: np.ndarray) -> LevelSummary:
-        lam = diagonal_levels(D, M)
-        beta = strip_robustness(D, M, lam <= zero_tol, threads)
+    def summary(lam: np.ndarray, beta: np.ndarray) -> LevelSummary:
         return LevelSummary(lam=lam[inv], beta=beta[inv], zero_tol=float(zero_tol), targets=tg)
 
-    if not horizon_check:
-        return summary(links.exit_min_matrix(system, cols))
-    M = links.exit_min_matrix(links.reduced_window(system), cols)
-    half = summary(M)
-    links.exit_min_matrix(system, cols, M, first_step=links.reduced_horizon(system) + 1)
-    return summary(M), half
+    out = []
+    windows = range(1 + horizon_check)
+    if width < m:
+        plus = links.pre_gate(system, cols, zero_tol)
+        gp = np.flatnonzero(plus)
+    # the banded pass holds rows and columns of G⁺ for every window at once
+    if width >= m or len(windows) * len(gp) * (m + system.n) >= system.n * m:
+        for _, _, M in links.exit_min_bands(system, cols, m, horizon_check):
+            lam = diagonal_levels(D, M)
+            out.append(summary(lam, strip_robustness(D, M, lam <= zero_tol, threads)))
+        return (out[1], out[0]) if horizon_check else out[0]
+    D_plus = links.EntryCostRows(system, cols[gp])
+    lams = [np.empty(m) for _ in windows]
+    rows = [np.empty((len(gp), m)) for _ in windows]
+    gathered = [np.empty((system.n, len(gp))) for _ in windows]
+    for i, band, M in links.exit_min_bands(system, cols, width, horizon_check):
+        k = np.arange(*np.searchsorted(gp, [band.start, band.stop]))   # G⁺ in the band
+        lams[i][band] = diagonal_levels(D, M, band.start)
+        if len(gp):
+            rows[i][:, band] = links.bottleneck_product(D_plus, M, threads)
+        gathered[i][:, k] = M[:, gp[k] - band.start]
+    for lam, row, col in zip(lams, rows, gathered):
+        gated = lam <= zero_tol
+        if (gated & ~plus).any():
+            raise AssertionError("a gated sample is missing from the pre-gate; this is a bug")
+        sel = np.flatnonzero(gated[gp])
+        out.append(summary(lam, _strip_beta(D, row[sel], col, sel, gated, threads)))
+    return (out[1], out[0]) if horizon_check else out[0]
 
 
 def _pos_member(summary: LevelSummary, magnitude: float) -> np.ndarray:

@@ -34,7 +34,9 @@ CELL_ROWS = 32       # target rows per product cell; row bands are split across 
 CELL_COLS = 32       # target columns per product cell
 BATCH = 64           # entry samples a cell visits per numpy call
 WINDOW = 128         # bound-ordered samples a cell filters per numpy call, after its first batch
-GATHER_ROWS = 32     # samples per block of the tabulated exit-min gather
+BAND_COLS = 256      # target columns per band of exit minima (filtration.level_summary, the gather)
+BLOCK_CELLS = 1 << 15   # (sample, target) entries per block of the gather and the sorted 1-D kernel
+PAIR_COSTS = 1 << 16    # exit costs per block of pre_gate
 
 
 @dataclass(frozen=True)
@@ -118,11 +120,36 @@ class EntryCostRows:
         return entry_cost_rows(self.system, self.cols[rows])
 
 
-def _exit_points(system: MapSystem) -> np.ndarray:
-    """Raw coordinates of the exit window per sample, shape (n, K, d)."""
+def _exit_costs(system: MapSystem, zs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """cost(f^n(zs[p]), ys[p]) at every step n of the exit window, shape (len(zs), K).
+
+    The floats of the exit-min kernels: a cost-table entry, or ``_euclid``.
+    """
+    k0 = system.first_step - 1
+    coords = system.space.coords
     if system.is_tabulated:
-        return system.space.coords[system.orbit_table[:, system.first_step - 1:]]
-    return system.orbit_coords[:, system.first_step - 1:]
+        orbit = system.orbit_table[zs, k0:]
+        if system.space.matrix is not None:
+            return system.space.matrix[orbit, ys[:, None]]
+        pts = (coords[:, k][orbit] for k in range(coords.shape[1]))
+    else:
+        pts = (system.orbit_coords[zs, k0:, k] for k in range(coords.shape[1]))
+    return _euclid([x - coords[ys, k, None] for k, x in enumerate(pts)])
+
+
+def _euclid(diffs: list[np.ndarray]) -> np.ndarray:
+    """Lengths from per-axis coordinate differences, in ``points_to_samples_cost``'s
+    floats: |x| in 1-D, the square root of the squares summed in axis order
+    otherwise (as np.sum adds fewer than 8 terms; from 8 on, np.sum itself)."""
+    if len(diffs) == 1:
+        return np.abs(diffs[0])
+    if len(diffs) >= 8:
+        diff = np.stack(diffs, axis=-1)
+        return np.sqrt(np.sum(diff * diff, axis=-1))
+    out = diffs[0] * diffs[0]
+    for x in diffs[1:]:
+        out += x * x
+    return np.sqrt(out, out=out)
 
 
 def nearest_exit_costs(cand: np.ndarray, targets: np.ndarray,
@@ -167,13 +194,11 @@ def exit_min_matrix(system: MapSystem, cols: np.ndarray, out: np.ndarray | None 
     the minima over the whole window bit for bit: every exit cost is the same
     float either way, and np.minimum keeps a NaN.
 
-    Tabulated systems gather from the cost table C[p, j] = cost(p, cols[j]):
-    min over n of C[orbit[z, n - 1], j], folded in step order.  With
-    coordinates that table is the transposed entry-cost block, because the
-    Euclidean cost is bitwise symmetric; it is built here, row-major so the
-    gather reads contiguous rows, one chunk of columns at a time so that no
-    (m, n) block is held beside it, and freed on return.  Sampled systems
-    take the nearest exit point (``nearest_exit_costs``).
+    Tabulated systems gather from a cost table C[p, j] = cost(p, cols[j]),
+    one band of ``BAND_COLS`` columns at a time (``_cost_table``,
+    ``_gather``), so the gather holds an (n, BAND_COLS) table beside ``out``,
+    never an (n, m) one.  Sampled systems take the nearest exit point
+    (``nearest_exit_costs``).
     """
     k0 = (first_step or system.first_step) - 1
     if out is None:
@@ -182,34 +207,183 @@ def exit_min_matrix(system: MapSystem, cols: np.ndarray, out: np.ndarray | None 
         return out
     if not system.is_tabulated:
         return nearest_exit_costs(system.orbit_coords[:, k0:], system.space.coords[cols], out)
-    if system.space.matrix is not None:
-        table = system.space.matrix[:, cols]
-    else:
-        table = np.empty((system.n, len(cols)))
-        for a in range(0, len(cols), core.COST_ROW_CHUNK):
-            table[:, a:a + core.COST_ROW_CHUNK] = entry_cost_rows(
-                system, cols[a:a + core.COST_ROW_CHUNK]).T
-    for a in range(0, system.n, GATHER_ROWS):     # no (n, m) temporary per step
-        orbit = system.orbit_table[a:a + GATHER_ROWS]
-        block = out[a:a + GATHER_ROWS]
-        for k in range(k0, system.horizon):
-            np.minimum(block, table[orbit[:, k]], out=block)
+    for b in range(0, len(cols), BAND_COLS):
+        band = slice(b, b + BAND_COLS)
+        _gather(system.orbit_table[:, k0:], _cost_table(system, cols[band]), out[:, band])
     return out
+
+
+def _cost_table(system: MapSystem, cols: np.ndarray, table: np.ndarray | None = None
+                ) -> np.ndarray:
+    """C[p, j] = cost(p, cols[j]), row-major (n, len(cols)), so a gather reads contiguous rows.
+
+    Written to ``table`` if given.  With coordinates it is the transposed
+    entry-cost block, because the Euclidean cost is bitwise symmetric; it is
+    filled one chunk of columns at a time, so that no (len(cols), n) block is
+    held beside it.
+    """
+    if table is None:
+        table = np.empty((system.n, len(cols)))
+    if system.space.matrix is not None:
+        return np.take(system.space.matrix, cols, axis=1, out=table)
+    for a in range(0, len(cols), core.COST_ROW_CHUNK):
+        table[:, a:a + core.COST_ROW_CHUNK] = entry_cost_rows(
+            system, cols[a:a + core.COST_ROW_CHUNK]).T
+    return table
+
+
+def _gather(orbit: np.ndarray, table: np.ndarray, out: np.ndarray) -> None:
+    """Lower out[z, j] by table[orbit[z, k], j] for every step k, folded in step order.
+
+    Works on contiguous blocks of about ``BLOCK_CELLS`` entries, copied out
+    of ``out`` and back, so no (n, m) temporary is made per step.
+    """
+    rows = max(1, BLOCK_CELLS // max(1, table.shape[1]))
+    for a in range(0, len(orbit), rows):
+        steps, block = orbit[a:a + rows], out[a:a + rows].copy()
+        for k in range(steps.shape[1]):
+            np.minimum(block, table[steps[:, k]], out=block)
+        out[a:a + rows] = block
+
+
+def nearest_sorted_costs(sp: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[z, j] lowered to the least |t[j] - x| over the sorted 1-D points sp[z, 1:-1].
+
+    Each row of ``sp`` (n, K + 2) is sorted and padded with its own first and
+    last point, as ``nearest_exit_costs`` pads it.  A point x lies below
+    target j exactly when fewer than j + 1 of the sorted targets are at most
+    x, so per block of rows one searchsorted of the points into the sorted
+    targets, a bincount per row and a cumsum give each row's
+    ``np.searchsorted(sp[z, 1:-1], t)`` for every target at once.  The two
+    neighbours then give ``nearest_exit_costs``'s floats.  Rows holding a NaN
+    are left to the caller.
+    """
+    order = np.argsort(t, kind="stable")
+    ts = t[order]
+    w, width = len(t), sp.shape[1]
+    unsorted = not np.array_equal(order, np.arange(w))
+    rows = max(1, BLOCK_CELLS // (width + w))
+    for a in range(0, len(sp), rows):
+        s = sp[a:a + rows]
+        r = len(s)
+        seg = np.searchsorted(ts, s[:, 1:-1], side="right")
+        seg += (w + 1) * np.arange(r)[:, None]
+        pos = np.bincount(seg.ravel(), minlength=r * (w + 1)).reshape(r, w + 1)[:, :w]
+        pos[:, 0] += width * np.arange(r)            # flat positions in s
+        np.cumsum(pos, axis=1, out=pos)
+        lo, hi = s.take(pos), s.take(pos + 1)
+        np.subtract(ts, lo, out=lo)
+        np.subtract(hi, ts, out=hi)
+        cost = np.minimum(np.abs(lo, out=lo), np.abs(hi, out=hi), out=lo)
+        block = out[a:a + rows]
+        if unsorted:
+            block[:, order] = np.minimum(block[:, order], cost)
+        else:
+            np.minimum(block, cost, out=block)
+    return out
+
+
+def _sorted_store(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of 1-D points sorted and padded with its own ends, and which rows hold a NaN."""
+    s = np.sort(points, axis=1)
+    return np.concatenate((s[:, :1], s, s[:, -1:]), axis=1), np.isnan(s[:, -1])   # NaN sorts last
+
+
+def exit_min_bands(system: MapSystem, cols: np.ndarray, width: int,
+                   horizon_check: bool = False):
+    """Yield (i, band, M) for each slice ``band`` of ``width`` targets and each window i.
+
+    M (n, len(cols[band])) holds the exit minima to the targets cols[band]
+    over window i: the whole exit window, or with ``horizon_check`` first
+    the ``reduced_window`` (i = 0) and then the whole window (i = 1), by
+    lowering the same array in place over the rest of it.  M is valid until
+    the next item.  The floats are ``exit_min_matrix``'s.
+
+    A tabulated band builds its cost table once for both windows.  A 1-D
+    sampled window shorter than ``width`` is sorted once, padded (n x (K + 2)
+    floats, the size of its orbit store), and each band runs
+    ``nearest_sorted_costs`` on it, with no Python loop over samples;
+    otherwise each band runs ``nearest_exit_costs``.
+    """
+    steps = [system.first_step - 1, system.horizon]
+    if horizon_check:
+        steps.insert(1, reduced_horizon(system))
+    windows = list(zip(steps, steps[1:]))
+    coords = system.space.coords
+    sort = (not system.is_tabulated and coords.shape[1] == 1
+            and system.horizon - steps[0] < width)
+    stores = [_sorted_store(system.orbit_coords[:, k0:k1, 0]) if sort and k0 < k1 else None
+              for k0, k1 in windows]
+    # every band reuses one buffer for M and one for its cost table
+    size = system.n * min(width, len(cols))
+    m_buf = np.empty(size)
+    t_buf = np.empty(size) if system.is_tabulated else None
+    for a in range(0, len(cols), width):
+        band = slice(a, a + width)
+        shape = (system.n, len(cols[band]))
+        M = m_buf[:shape[0] * shape[1]].reshape(shape)
+        M.fill(np.inf)
+        if system.is_tabulated:
+            table = _cost_table(system, cols[band], t_buf[:shape[0] * shape[1]].reshape(shape))
+        for i, (k0, k1) in enumerate(windows):
+            if k0 == k1:            # a one-step window leaves nothing to lower over
+                pass
+            elif system.is_tabulated:
+                _gather(system.orbit_table[:, k0:k1], table, M)
+            elif sort:
+                sp, nan = stores[i]
+                nearest_sorted_costs(sp, coords[cols[band], 0], M)
+                M[nan] = np.nan
+            else:
+                nearest_exit_costs(system.orbit_coords[:, k0:k1], coords[cols[band]], M)
+            yield i, band, M
+
+
+def pre_gate(system: MapSystem, cols: np.ndarray, tau: float) -> np.ndarray:
+    """A mask over ``cols`` that holds the gate {j : L[j, j] <= tau}, from no exit minima.
+
+    L[j, j] = min over z of max(D[j, z], M[z, j]) is at most tau only when
+    some pair (j, z) of P = {D[j, z] <= tau} has an exit point of z's window
+    within tau of cols[j].  So j is marked when such a pair has an exit cost
+    at most tau.  The exit costs are the exit-min kernels' floats
+    (``_exit_costs``), and "any cost <= tau" ignores the NaN that a minimum
+    would propagate, so the mask holds the gate of every prefix of the exit
+    window too, the reduced window's included.  The work is |P| K exit costs,
+    ``PAIR_COSTS`` at a time.
+
+    P is found one ``CELL_ROWS`` band of targets at a time.  With
+    coordinates, only the samples z within tau of the band's bounding box
+    get their entry costs: that distance, in the same float operations, is
+    at most every D[j, z] of the band, since each operation is monotone.
+    """
+    coords = system.space.coords
+    marked = np.zeros(len(cols), dtype=bool)
+    per = max(1, PAIR_COSTS // (system.horizon - system.first_step + 1))
+    for a in range(0, len(cols), CELL_ROWS):
+        band = cols[a:a + CELL_ROWS]
+        if coords is None:
+            js, zs = np.nonzero(system.space.matrix[band] <= tau)
+        else:
+            t, axes = coords[band], range(coords.shape[1])
+            lo, hi = t.min(axis=0), t.max(axis=0)
+            near = np.flatnonzero(_euclid([np.maximum(np.maximum(lo[k] - coords[:, k],
+                                                                 coords[:, k] - hi[k]), 0.0)
+                                           for k in axes]) <= tau)
+            js, zs = np.nonzero(_euclid([t[:, k, None] - coords[near, k] for k in axes]) <= tau)
+            zs = near[zs]
+        js += a
+        for b in range(0, len(js), per):
+            j, z = js[b:b + per], zs[b:b + per]
+            todo = ~marked[j]
+            j, z = j[todo], z[todo]
+            marked[j[(_exit_costs(system, z, cols[j]) <= tau).any(axis=1)]] = True
+    return marked
 
 
 def _pair_level_table(system: MapSystem, x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
     """All candidate levels for the pair (x, y): (entry costs (n,), levels (n, K))."""
     entry = entry_cost_rows(system, np.array([x]))[0]
-    if system.is_tabulated and system.space.matrix is not None:
-        exits = system.space.matrix[system.orbit_table[:, system.first_step - 1:], y]
-    else:
-        coords = system.space.coords
-        cand = _exit_points(system)
-        if cand.shape[2] == 1:
-            exits = np.abs(cand[:, :, 0] - coords[y, 0])
-        else:
-            diff = cand - coords[y][None, None, :]
-            exits = np.sqrt(np.sum(diff * diff, axis=2))
+    exits = _exit_costs(system, np.arange(system.n), np.full(system.n, y))
     return entry, np.maximum(entry[:, None], exits)
 
 
@@ -394,8 +568,10 @@ def priced_targets(system: MapSystem, targets: Iterable[int] | None = None,
     The price against ``core.MAX_MATRIX_BYTES`` counts the entry costs D and
     the exit minima, (m, n) each, a second set of exit minima with
     ``horizon_check``, and the (m, m) levels: 8 * m * ((3 or 2) * n + m) bytes.
-    The price is conservative: D is computed by row band, ``level_summary``
-    holds one set of exit minima with the check, and no (m, m) levels.
+    The price is conservative: D is computed by row band, and
+    ``level_summary`` holds one band of exit minima (all of them when one
+    band covers every target) and no (m, m) levels.  The banded pass did not
+    change the price, so the same specs are accepted and rejected.
     """
     n = system.n
     if n == 0:

@@ -406,6 +406,22 @@ class TestAnalyze:
             assert main(["analyze", spec, "--threads", threads]) == 0
             assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("name, spec, digest", [
+        ("analyze_f2", {"kind": "map", "source": {"builtin": "f2"},
+                        "grid": {"box": [[-5.0, 5.0]], "h": 0.01}, "horizon": {"n_max": 64}},
+         "d91861549dc7e6c8c66a963cadc63acbf631b2f99bf1f2b7eb3b691e434f9292"),
+        ("analyze_tail", tail_spec(30, 30),
+         "f9d884cbbb27505a60e3070a0b9861870bef507a3ebe6dd5c2b0b096d5a5ea20"),
+    ], ids=["analyze_f2", "analyze_tail"])
+    def test_golden_analyze_workloads(self, tmp_path, capsys, name, spec, digest):
+        """The benchmark's analyze_f2 (n = 1001, 9 samples gated) and
+        analyze_tail (the 30x30 tail, n = 900, 1 gated) commands, at one and
+        three threads: their pinned stdout."""
+        path = write_spec(tmp_path, f"{name}.json", spec)
+        for threads in ("1", "3"):
+            assert main(["analyze", path, "--threads", threads]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_box_dimension_must_match_the_builtin(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "b.json", {
             "kind": "map", "source": {"builtin": "f2"},
@@ -469,6 +485,17 @@ class TestDetect:
             "dc3f1600b98942d477f320fa0551b700162b5a4c49d7f1f18b24b034ca93e207")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "86727025a6a3c828fa2c2158980404a1f22ce94ed381239327ebf46fdf751865")
+
+    def test_golden_detect_workload(self, tmp_path, capsys):
+        """The benchmark's detect_f2 command (n = 401, 76,144 certificates), at
+        one and three threads: its pinned stdout."""
+        spec = write_spec(tmp_path, "f2.json", {
+            "kind": "map", "source": {"builtin": "f2"},
+            "grid": {"box": [[-2.0, 2.0]], "h": 0.01}, "horizon": {"n_max": 64}})
+        for threads in ("1", "3"):
+            assert main(["detect", spec, "--threads", threads]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+                "5ddfa2eb4b061a2f29a567c48bdf3c164b9c5bc04bd20964cadb86ab4cbb2fc9")
 
     def test_limit_below_one_rejected(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "f2.json", {
@@ -589,6 +616,23 @@ class TestDiagram:
         sizes = re.findall(r'(?:width|height)="(-?[0-9.]+)"', svg.read_text())
         assert sizes and min(map(float, sizes)) > 0
 
+    def test_svg_of_a_2d_system_rejected_before_the_pass(self, tmp_path, capsys,
+                                                         monkeypatch):
+        """The 2-D tail has no 1-D coordinates to draw: --svg exits 2 once the
+        spec is loaded, before the gated pass, with nothing on stdout and no SVG."""
+        spec = write_spec(tmp_path, "tail.json", tail_spec(10, 8))
+        svg = tmp_path / "d.svg"
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("level_summary must not run")
+
+        monkeypatch.setattr("nwfilt.cli.level_summary", no_pass)
+        assert main(["diagram", spec, "--eps-max", "1", "--eps-step", "0.5",
+                     "--svg", str(svg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "1-D" in captured.err and not svg.exists()
+
     def test_magnitudes_at_the_gate(self):
         from argparse import Namespace
         from nwfilt.cli import MAX_BUDGETS, _parse_magnitudes
@@ -659,6 +703,33 @@ class TestFileErrors:
             assert captured.out == ""
             assert captured.err.count("\n") == 1 and "cannot write" in captured.err
         assert loads == []
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", "{spec}", "--out", "{a}", "--matrix-out", "{b}"],
+        ["diagram", "{spec}", "--eps-max", "1", "--eps-step", "0.5", "--json", "{a}",
+         "--svg", "{b}"],
+    ])
+    def test_two_outputs_to_one_file_exit_2_before_any_work(self, tmp_path, capsys,
+                                                           monkeypatch, args):
+        """Equal output paths once overwrote each other and exited 0; spelled
+        alike or through '..', they now exit 2 before the spec is loaded."""
+        spec = f2_spec(tmp_path, h=0.25)
+        (tmp_path / "sub").mkdir()
+        loads = []
+        monkeypatch.setattr("nwfilt.cli.load_system",
+                            lambda path: loads.append(path) or load_system(path))
+        out = tmp_path / "out"
+        for a, b in ((out, out), (out, tmp_path / "sub" / ".." / "out")):
+            argv = [x.replace("{spec}", spec).replace("{a}", str(a)).replace("{b}", str(b))
+                    for x in args]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err.count("\n") == 1 and "two outputs" in captured.err
+        assert loads == []
+        argv = [x.replace("{spec}", spec).replace("{a}", str(out)).replace("{b}", str(out) + "2")
+                for x in args]
+        assert main(argv) == 0
 
     def test_unusable_failure_dump_directory(self, tmp_path, capsys):
         blocker = tmp_path / "file"

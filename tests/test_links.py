@@ -251,7 +251,7 @@ class TestWitnesses:
         scan = scan_levels(sys)
         assert level_matrix(sys).levels.tobytes() == scan.tobytes()
         assert np.isnan(scan).all() == (horizon > 1)
-        first_nan = (2, sys.index_of(-0.7))    # -0.7 -> 0.123 -> NaN
+        first_nan = (2, sys.index_of(-0.7))    # -0.7 -> -0.68 -> NaN
         for x in range(sys.n):
             for y in range(sys.n):
                 lvl, wit = link_level(sys, x, y)
@@ -760,10 +760,13 @@ class TestLevelMatrixMemory:
 
 
 class TestLevelSummaryMemory:
-    """level_summary's horizon check holds one (n, m) array of exit minima: it
-    runs the gated pass on the reduced window's minima, then lowers the same
-    array in place.  The tabulated gather adds its (n, m) cost table, built by
-    column chunk, while it runs.  The gated pass holds the rows L[G, :] and
+    """level_summary holds one band of exit minima, (n, 256) here, lowered in
+    place from the reduced window to the whole one, never the (n, m) array.
+    Beside it: the sorted exit windows in 1-D (n x (K + 2)), or the band's
+    cost table for a tabulated gather (n, 256), and one product cell's
+    buffer.  Holding the whole (n, m) array instead, the map reads 1.24 and
+    the coordinate table 2.15.  When one band covers every target, as on
+    the flow, the pass holds the whole exit minima and the rows L[G, :] and
     one column chunk of its returns, never an (m, m) array, however many
     samples pass the gate."""
 
@@ -771,12 +774,12 @@ class TestLevelSummaryMemory:
         system = build_grid_system("f2", box=[[-5, 5]], spacing=0.01, horizon=64)
         peak = traced_peak(lambda: level_summary(system, 2 * system.spacing,
                                                  horizon_check=True))
-        assert peak < 1.4 * 8 * system.n ** 2
+        assert peak < 0.6 * 8 * system.n ** 2
 
     def test_coordinate_table(self):
         system = coordinate_table(1000, 2, 8, seed=3)
         peak = traced_peak(lambda: level_summary(system, 0.0, horizon_check=True))
-        assert peak < 2.3 * 8 * system.n ** 2
+        assert peak < 0.75 * 8 * system.n ** 2
 
     def test_flow(self):
         # 605 of 1201 samples pass the gate; with an (m, m) product the peak is 2.18
@@ -878,13 +881,15 @@ def coordinate_table(n, d, horizon, seed):
 
 
 def nan_orbit(horizon):
-    """x -> -x on a grid, except that x = -0.7 steps off the grid to 0.123,
+    """x -> -x on a grid, except that x = -0.7 steps off the grid to -0.68,
     whose next iterate is NaN: from horizon 2 on, every level is NaN.  The
     sample 0.7 meets the NaN at step 3, so at horizons 4 and 5 its exit minima
-    are finite only at half the horizon; at horizon 6 no exit minimum moves."""
+    are finite only at half the horizon; at horizon 6 no exit minimum moves.
+    At horizons 2 and 3 the reduced window (one step) gates -0.7 at 0.05
+    through its own first iterate, and no other pair within 0.05 does."""
     return build_sampled_system(
-        lambda x: np.where(np.abs(x + 0.7) < 1e-6, 0.123,
-                           np.where(np.abs(x - 0.123) < 1e-6, np.nan, -x)),
+        lambda x: np.where(np.abs(x + 0.7) < 1e-6, -0.68,
+                           np.where(np.abs(x + 0.68) < 1e-6, np.nan, -x)),
         box=[[-1, 1]], spacing=0.1, horizon=horizon)
 
 
@@ -1068,7 +1073,7 @@ GATED_CASES = {
     "cycle_inf_h12": (lambda: cost_table(12, 12, 0, cycle=True), (0.0,)),
     **{f"coordinate_table_d{d}": (lambda d=d: coordinate_table(90, d, 5, seed=d), (0.0, 0.2))
        for d in (2, 3)},
-    **{f"nan_orbit_h{h}": (lambda h=h: nan_orbit(h), (0.0, 0.2)) for h in range(1, 7)},
+    **{f"nan_orbit_h{h}": (lambda h=h: nan_orbit(h), (0.0, 0.05, 0.2)) for h in range(1, 7)},
     **{f"window_{fs}_{i}": (lambda fs=fs, i=i: window_systems(fs)[i], (0.0, 0.1))
        for fs in (2, 3) for i in range(6)},
 }
@@ -1083,9 +1088,10 @@ def assert_same_levels(got, want):
 
 class TestLevelSummary:
     """filtration.level_summary reads lam off the product's diagonal and beta off
-    the gated rows and the complement block, one column chunk at a time: the
-    same floats as summarize(level_matrix(...)), at the full and the half
-    horizon, whatever the size of the gate."""
+    the gated rows and the complement block, one column chunk at a time, from
+    the whole exit minima or from bands of them after the pre-gate: the same
+    floats as summarize(level_matrix(...)), at the full and the half horizon,
+    whatever the size of the gate."""
 
     @pytest.mark.parametrize("case", sorted(GATED_CASES))
     def test_equals_the_whole_matrix_summary(self, case):
@@ -1103,8 +1109,9 @@ class TestLevelSummary:
     @pytest.mark.parametrize("case", ["counterexample_tail", "f2", "identity", "flow_att",
                                       "cost_table_h3_s0", "coordinate_table_d2", "nan_orbit_h1"])
     def test_strips_on_both_sides_of_the_switch(self, case):
-        """strip_robustness gives beta for any gate, with at most and with more
-        than half of the samples gated."""
+        """strip_robustness gives beta for any gate, on the whole exit minima in
+        cell order: the rows L[G, :] and the block L[Gᶜ, G], with at most and
+        with more than half of the samples gated (both are one path)."""
         build, gates = GATED_CASES[case]
         system = build()
         tg, perm = links.priced_targets(system)
@@ -1136,6 +1143,25 @@ class TestLevelSummary:
             want = summarize(full, zero_tol)
             for threads in (1, 2, 3):
                 assert_same_levels(level_summary(system, zero_tol, threads), want)
+
+    @pytest.mark.parametrize("band_cols", [1, 31, 32, 33, 64])
+    @pytest.mark.parametrize("case", sorted(GATED_CASES))
+    def test_any_band_width(self, case, band_cols, monkeypatch):
+        """Exit minima in bands of max(band_cols, K) columns, so every case but
+        the 12-cycle runs the pre-gate and the banded pass: gates from none to
+        every sample, 1 to 3 threads, with and without the horizon check; the
+        floats of the whole matrices' summaries, compared as int64 views."""
+        monkeypatch.setattr(links, "BAND_COLS", band_cols)
+        build, gates = GATED_CASES[case]
+        system = build()
+        full, half = level_matrix(system), level_matrix(half_horizon(system))
+        for zero_tol in (-np.inf, *gates, np.inf):
+            want, want_half = summarize(full, zero_tol), summarize(half, zero_tol)
+            for threads in (1, 2, 3):
+                assert_same_levels(level_summary(system, zero_tol, threads), want)
+                got, got_half = level_summary(system, zero_tol, threads, horizon_check=True)
+                assert_same_levels(got, want)
+                assert_same_levels(got_half, want_half)
 
     def test_empty_and_full_gate(self):
         ident = build_grid_system("identity", box=[[-1, 1]], spacing=0.1, horizon=3)
@@ -1170,3 +1196,100 @@ class TestLoweredExitMin:
             want = exit_min_matrix(system, cols)
             got = exit_min_matrix(system, cols, want.copy(), first_step=system.horizon + 1)
             assert got.tobytes() == want.tobytes()
+
+
+def has_nan_iterates(system):
+    return not system.is_tabulated and bool(np.isnan(system.orbit_coords).any())
+
+
+class TestPreGate:
+    """links.pre_gate marks, before any exit minima exist, the targets with a
+    pair (j, z), D[j, z] <= tau, whose window has an exit cost <= tau.  That
+    holds the gate {lam <= tau} at the full and the reduced window, and equals
+    the full window's gate wherever no iterate is NaN."""
+
+    @staticmethod
+    def gates(system, tau):
+        """(pre-gate, gate, reduced window's gate), in sample order."""
+        cols = np.arange(system.n)[::-1]            # any target order
+        plus = links.pre_gate(system, cols, tau)[::-1]
+        full = np.diagonal(level_matrix(system).levels) <= tau
+        half = np.diagonal(level_matrix(half_horizon(system)).levels) <= tau
+        return plus, full, half
+
+    @pytest.mark.parametrize("case", sorted(GATED_CASES))
+    def test_holds_the_gate_at_both_windows(self, case):
+        build, gates = GATED_CASES[case]
+        system = build()
+        for tau in (-np.inf, *gates, np.inf):
+            plus, full, half = self.gates(system, tau)
+            assert not (full & ~plus).any() and not (half & ~plus).any()
+            if not has_nan_iterates(system):
+                assert np.array_equal(plus, full)
+
+    def test_nan_propagating_minimum_is_caught(self, monkeypatch):
+        """A pre-gate that takes each window's NaN-propagating minimum misses
+        -0.7 on nan_orbit at horizons 2 and 3: the reduced window gates it at
+        0.05 through its own first iterate, and that window's second iterate
+        is NaN."""
+        exit_costs = links._exit_costs
+        monkeypatch.setattr(links, "_exit_costs",
+                            lambda s, z, y: exit_costs(s, z, y).min(axis=1, keepdims=True))
+        missed = set()
+        for case, (build, gates) in GATED_CASES.items():
+            system = build()
+            for tau in (-np.inf, *gates, np.inf):
+                plus, full, half = self.gates(system, tau)
+                if ((full | half) & ~plus).any():
+                    missed.add(case)
+        assert missed == {"nan_orbit_h2", "nan_orbit_h3"}
+
+    def test_the_banded_pass_checks_it(self, monkeypatch):
+        """A gated sample outside the pre-gate stops the banded pass."""
+        system = small_builtin("f2")
+        assert np.count_nonzero(level_summary(system, 0.06).lam <= 0.06) > 0
+        monkeypatch.setattr(links, "BAND_COLS", 32)
+        monkeypatch.setattr(links, "pre_gate", lambda s, cols, tau: np.zeros(len(cols), bool))
+        with pytest.raises(AssertionError, match="pre-gate"):
+            level_summary(system, 0.06)
+
+
+class TestExitMinBands:
+    """links.exit_min_bands yields, band by band, exit_min_matrix's floats over
+    the reduced window and then over the whole one; the sorted 1-D kernel
+    equals nearest_exit_costs on rows with signed zeros, infinities and NaN."""
+
+    @pytest.mark.parametrize("width", [1, 7, 32, 33, 500])
+    @pytest.mark.parametrize("case", sorted(GATED_CASES))
+    def test_bands_equal_the_whole_minima(self, case, width):
+        system = GATED_CASES[case][0]()
+        cols = np.random.default_rng(width).permutation(system.n)
+        want = [exit_min_matrix(half_horizon(system), cols), exit_min_matrix(system, cols)]
+        for check in (False, True):
+            got = [np.empty_like(want[0]) for _ in range(1 + check)]
+            seen = []
+            for i, band, M in links.exit_min_bands(system, cols, width, check):
+                got[i][:, band] = M
+                seen.append((i, band.start))
+            assert seen == [(i, a) for a in range(0, system.n, width) for i in range(1 + check)]
+            for g, w in zip(got, want[1 - check:]):
+                assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+    @pytest.mark.parametrize("horizon", [1, 2, 9])
+    def test_sorted_kernel_on_special_floats(self, horizon):
+        rng = np.random.default_rng(horizon)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0])
+        for trial in range(30):
+            cand = rng.uniform(-2.0, 2.0, (23, horizon, 1))
+            cand[rng.random(cand.shape) < 0.3] = rng.choice(special[:4], size=1)
+            if trial % 3 == 0:
+                cand[rng.integers(0, 23), rng.integers(0, horizon)] = np.nan
+            t = np.concatenate([rng.uniform(-3.0, 3.0, 20), special,
+                                rng.choice(cand.ravel(), 5)])
+            t = t[rng.permutation(len(t))]
+            want = nearest_exit_costs(cand, t[:, None])
+            s = np.sort(cand[:, :, 0], axis=1)
+            got = links.nearest_sorted_costs(np.concatenate((s[:, :1], s, s[:, -1:]), axis=1),
+                                             t, np.full((23, len(t)), np.inf))
+            got[np.isnan(s[:, -1])] = np.nan
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
