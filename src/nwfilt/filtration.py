@@ -183,15 +183,15 @@ def level_summary(system: MapSystem, zero_tol: float, threads: int = 1,
     columns (n, |G⁺|), never the (n, m) M.  When one band covers every target
     the pass holds the whole M, with no pre-gate and no copy of its columns:
     the gate comes from lam.  So it does too when the rows and columns of G⁺,
-    for both horizons with the check, would hold as many floats as M.
+    for both horizons with the check, would hold as many floats as M; the
+    pre-gate stops as soon as it has marked that many.
 
     With ``horizon_check``, returns the pair (summary, summary at the reduced
     horizon, ``links.reduced_horizon``) from the same exit minima: each band
     (or the whole M) takes the minima over the reduced window first and is
     then lowered in place over the rest of the exit window
-    (``links.exit_min_bands``).  Maps and
-    flows take the same path, and the check holds no more (n, m) arrays than
-    the pass without it.
+    (``links.exit_min_bands``).  Maps and flows take the same path, and the
+    check holds no more (n, m) arrays than the pass without it.
     """
     tg, perm = links.priced_targets(system, None, horizon_check)
     cols = tg[perm]
@@ -205,15 +205,16 @@ def level_summary(system: MapSystem, zero_tol: float, threads: int = 1,
 
     out = []
     windows = range(1 + horizon_check)
-    if width < m:
-        plus = links.pre_gate(system, cols, zero_tol)
-        gp = np.flatnonzero(plus)
-    # the banded pass holds rows and columns of G⁺ for every window at once
-    if width >= m or len(windows) * len(gp) * (m + system.n) >= system.n * m:
+    # the banded pass holds rows and columns of G⁺ for every window at once;
+    # past ``most`` targets they would hold as many floats as M
+    most = (system.n * m - 1) // (len(windows) * (m + system.n))
+    plus = links.pre_gate(system, cols, zero_tol, most) if width < m else None
+    if plus is None:
         for _, _, M in links.exit_min_bands(system, cols, m, horizon_check):
             lam = diagonal_levels(D, M)
             out.append(summary(lam, strip_robustness(D, M, lam <= zero_tol, threads)))
         return (out[1], out[0]) if horizon_check else out[0]
+    gp = np.flatnonzero(plus)
     D_plus = links.EntryCostRows(system, cols[gp])
     lams = [np.empty(m) for _ in windows]
     rows = [np.empty((len(gp), m)) for _ in windows]

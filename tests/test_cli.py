@@ -443,6 +443,30 @@ class TestAnalyze:
         assert lines[1] == "0,1,"
         assert lines[2] == "1,0,inf"
 
+    def test_table_with_points_and_a_cost_matrix(self, tmp_path, capsys, monkeypatch):
+        """A table may carry points beside a cost matrix that is not their
+        distance; the levels come from the matrix.  300 targets make bands of
+        256, so the pre-gate runs and the pass is banded, and it must give the
+        whole level matrix's levels."""
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(-1.0, 1.0, (300, 2)).round(3)
+        other = pts[rng.permutation(300)]
+        cost = np.sqrt(np.sum((other[:, None, :] - other[None, :, :]) ** 2, axis=2))
+        spec = write_spec(tmp_path, "pc.json", {
+            "kind": "map", "horizon": {"n_max": 10}, "tolerance": {"tau": 0.05},
+            "source": {"table": {"points": pts.tolist(), "cost": cost.tolist(),
+                                 "map": rng.integers(0, 300, 300).tolist()}}})
+        marked = []
+        pre_gate = links.pre_gate
+        monkeypatch.setattr(links, "pre_gate",
+                            lambda *a: marked.append(pre_gate(*a)) or marked[-1])
+        assert main(["analyze", spec]) == 0
+        banded = capsys.readouterr().out
+        assert main(["analyze", spec, "--matrix-out", str(tmp_path / "L.csv")]) == 0
+        assert capsys.readouterr().out == banded
+        assert main(["diagram", spec, "--eps-max", "1", "--eps-step", "0.25"]) == 0
+        assert len(marked) == 2 and all(m is not None for m in marked)
+
 
 class TestDetect:
     def test_doubling_map_found(self, tmp_path, capsys):

@@ -600,18 +600,17 @@ class TestWindowFilter:
 def lowered_exit_min(system, cols):
     """The exit minima of the half window (steps first_step..h2), then the same
     array lowered in place over steps h2 + 1..horizon (none when h2 is the
-    horizon)."""
-    short = half_horizon(system)
-    half = exit_min_matrix(short, cols)
-    got_half = half.copy()
-    assert exit_min_matrix(system, cols, half, first_step=short.horizon + 1) is half
-    return got_half, half
+    horizon): exit_min_bands over one band of every target."""
+    (half, first), (full, last) = [(M.copy(), M) for _, _, M in links.exit_min_bands(
+        system, cols, len(cols), horizon_check=True)]
+    assert first is last
+    return half, full
 
 
 class TestTwoHorizonExitMin:
     """The reduced window's exit minima, lowered in place over the rest of the
-    window by exit_min_matrix(..., out, first_step=h2 + 1), are the whole
-    window's; each result equals the scanned exit minima bit for bit."""
+    window by exit_min_bands, are the whole window's; each result equals the
+    scanned exit minima bit for bit."""
 
     @staticmethod
     def check(system):
@@ -781,6 +780,16 @@ class TestLevelSummaryMemory:
         peak = traced_peak(lambda: level_summary(system, 0.0, horizon_check=True))
         assert peak < 0.75 * 8 * system.n ** 2
 
+    def test_one_band_table(self):
+        # K >= n, so one band holds every target, and every sample passes the
+        # gate: the whole exit minima beside the (m, m) rows L[G, :].  The
+        # gather's cost table is built one (n, 256) chunk at a time and freed
+        # before the product runs; holding the whole (n, m) table beside the
+        # rows reads 3.76, building it whole and freeing it reads 2.76.
+        system = coordinate_table(500, 2, 500, seed=4)
+        peak = traced_peak(lambda: level_summary(system, np.inf, horizon_check=True))
+        assert peak < 2.77 * 8 * system.n ** 2
+
     def test_flow(self):
         # 605 of 1201 samples pass the gate; with an (m, m) product the peak is 2.18
         system = build_builtin_flow("flow_att", box=[[-3, 3]], spacing=0.005, dt=0.01,
@@ -878,6 +887,18 @@ def coordinate_table(n, d, horizon, seed):
     rng = np.random.default_rng(seed)
     return build_tabulated_system(rng.integers(0, n, size=n), horizon=horizon,
                                   coords=rng.uniform(-1.0, 1.0, (n, d)))
+
+
+def points_and_cost_table(n, d, horizon, seed):
+    """A table with points whose cost matrix is not their distance: it is the
+    distance between the same points in another order, so a small cost
+    D[j, z] says nothing about how far apart the points j and z are."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (n, d))
+    other = pts[rng.permutation(n)]
+    cost = np.sqrt(np.sum((other[:, None, :] - other[None, :, :]) ** 2, axis=2))
+    return build_tabulated_system(rng.integers(0, n, size=n), horizon=horizon, coords=pts,
+                                  cost_matrix=cost)
 
 
 def nan_orbit(horizon):
@@ -1073,6 +1094,8 @@ GATED_CASES = {
     "cycle_inf_h12": (lambda: cost_table(12, 12, 0, cycle=True), (0.0,)),
     **{f"coordinate_table_d{d}": (lambda d=d: coordinate_table(90, d, 5, seed=d), (0.0, 0.2))
        for d in (2, 3)},
+    **{f"points_and_cost_d{d}": (lambda d=d: points_and_cost_table(40, d, 3, seed=d), (0.0, 0.2))
+       for d in (1, 2)},
     **{f"nan_orbit_h{h}": (lambda h=h: nan_orbit(h), (0.0, 0.05, 0.2)) for h in range(1, 7)},
     **{f"window_{fs}_{i}": (lambda fs=fs, i=i: window_systems(fs)[i], (0.0, 0.1))
        for fs in (2, 3) for i in range(6)},
@@ -1193,9 +1216,8 @@ class TestLoweredExitMin:
         for system in systems:
             assert half_horizon(system).horizon == system.horizon
             cols = np.arange(system.n)
-            want = exit_min_matrix(system, cols)
-            got = exit_min_matrix(system, cols, want.copy(), first_step=system.horizon + 1)
-            assert got.tobytes() == want.tobytes()
+            half, full = lowered_exit_min(system, cols)
+            assert half.tobytes() == full.tobytes() == exit_min_matrix(system, cols).tobytes()
 
 
 def has_nan_iterates(system):
@@ -1249,7 +1271,8 @@ class TestPreGate:
         system = small_builtin("f2")
         assert np.count_nonzero(level_summary(system, 0.06).lam <= 0.06) > 0
         monkeypatch.setattr(links, "BAND_COLS", 32)
-        monkeypatch.setattr(links, "pre_gate", lambda s, cols, tau: np.zeros(len(cols), bool))
+        monkeypatch.setattr(links, "pre_gate",
+                            lambda s, cols, tau, most: np.zeros(len(cols), bool))
         with pytest.raises(AssertionError, match="pre-gate"):
             level_summary(system, 0.06)
 
