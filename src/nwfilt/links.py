@@ -188,6 +188,9 @@ def exit_min_matrix(system: MapSystem, cols: np.ndarray) -> np.ndarray:
     """M[z, j] = min over the exit window of cost(f^n(z), cols[j]) for every sample z.
 
     The one band of ``exit_min_bands`` that covers every target: (n, m).
+    ``filtration.level_summary`` does not hold it; after ``pre_gate`` it
+    takes ``exit_min_bands`` one band of max(``BAND_COLS``, K) targets at a
+    time.
     """
     for _, _, M in exit_min_bands(system, cols, len(cols)):
         pass
