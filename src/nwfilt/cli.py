@@ -25,6 +25,10 @@ import os
 import sys
 from pathlib import Path
 
+# no BLAS thread pool at numpy's import: the engine does no BLAS work
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 
 # Every module the commands call stays imported here, even where one command
@@ -35,7 +39,7 @@ import numpy as np
 from .core import ExtendedLevel, Branch, ResourceLimitError
 from .filtration import diagram, level_summary, summarize
 from .flows import IntegrationError
-from .links import level_matrix, reduced_horizon
+from .links import horizon_report, level_matrix, reduced_horizon
 from .export import (build_document, check_svg_coords, check_svg_size,
                      export_diagram_json, export_levels_csv, render_svg)
 from .specfile import LoadedSystem, SpecError, instance_to_spec, load_system
@@ -104,11 +108,12 @@ def cmd_analyze(args) -> int:
     check = system.n <= HORIZON_CHECK_CAP
     pairs = bool(args.matrix_out) and check and is_map   # the check counts changed pairs
     if args.matrix_out:
-        matrix = level_matrix(system, threads=args.threads, horizon_check=pairs)
+        matrix = level_matrix(system, threads=args.threads)
         header = ",".join(str(int(t)) for t in matrix.targets)
         rows = "\n".join(",".join(f"{v:.9g}" for v in row) for row in matrix.levels)
         Path(args.matrix_out).write_bytes((header + "\n" + rows + "\n").encode())
-    # Otherwise the check runs the summary's pass on the reduced window's exit
+    # With a map's matrix the check compares its pairs (horizon_report).
+    # Otherwise it runs the summary's pass on the reduced window's exit
     # minima, then on the same array lowered over the rest of the window, for
     # maps and flows alike.
     if check and not pairs:
@@ -132,7 +137,7 @@ def cmd_analyze(args) -> int:
     if not check:
         _diag(f"horizon check skipped: n={system.n} > {HORIZON_CHECK_CAP}")
     elif pairs:
-        rep = matrix.horizon_check
+        rep = horizon_report(system, matrix, args.threads)
         state = "stable" if rep.stable else f"{rep.changed_pairs} pairs changed (max {rep.max_change:.3g})"
         _diag(f"horizon check at {at}: {state}")
     else:

@@ -56,6 +56,10 @@ class LinkWitness:
 
 @dataclass(frozen=True)
 class HorizonStabilityReport:
+    """Pairs of levels that differ at half the exit window, and the largest change.
+    A pair NaN at both horizons counts as changed, with no size (``analyze``'s
+    lam/beta line counts NaN as equal to NaN)."""
+
     horizon: int
     reduced_horizon: int
     changed_pairs: int
@@ -74,7 +78,6 @@ class LevelMatrix:
     targets: np.ndarray          # (m,) sample indices
     horizon: int
     spacing: float | None = None
-    horizon_check: HorizonStabilityReport | None = None   # set by level_matrix when asked
 
     @property
     def m(self) -> int:
@@ -175,8 +178,9 @@ def nearest_exit_costs(cand: np.ndarray, targets: np.ndarray,
                 continue
             pos = np.searchsorted(s, t)
             sp = np.concatenate((s[:1], s, s[-1:]))    # padded ends: no clipping of pos
-            np.minimum(out[z], np.minimum(np.abs(t - sp[pos]), np.abs(sp[pos + 1] - t)),
-                       out=out[z])
+            with np.errstate(invalid="ignore"):        # an infinite point at an infinite target
+                np.minimum(out[z], np.minimum(np.abs(t - sp[pos]), np.abs(sp[pos + 1] - t)),
+                           out=out[z])
     else:
         for z in range(cand.shape[0]):
             diff = cand[z][:, None, :] - targets[None, :, :]
@@ -253,8 +257,9 @@ def nearest_sorted_costs(sp: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.n
         pos[:, 0] += width * np.arange(r)            # flat positions in s
         np.cumsum(pos, axis=1, out=pos)
         lo, hi = s.take(pos), s.take(pos + 1)
-        np.subtract(ts, lo, out=lo)
-        np.subtract(hi, ts, out=hi)
+        with np.errstate(invalid="ignore"):      # an infinite point at an infinite target
+            np.subtract(ts, lo, out=lo)
+            np.subtract(hi, ts, out=hi)
         cost = np.minimum(np.abs(lo, out=lo), np.abs(hi, out=hi), out=lo)
         block = out[a:a + rows]
         if unsorted:
@@ -465,8 +470,7 @@ def cell_order(coords: np.ndarray | None, tg: np.ndarray) -> np.ndarray:
     return perm
 
 
-def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1,
-                       lower: np.ndarray | None = None) -> np.ndarray:
+def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1) -> np.ndarray:
     """L[i, j] = min over z of max(D[i, z], M[z, j]), the (min, max) matrix product.
 
     D is read only as ``D.shape`` and ``D[rows]``, once per band of rows, so it
@@ -477,14 +481,13 @@ def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1,
     M[z, j] over its columns.  A cell visits z in ascending bound.  A z with a
     NaN among the cell's entry or exit costs gets the bound -inf; the cell
     visits these, and its first ``BATCH`` samples, whole.  After that, an
-    entry is live unless it is final: NaN (np.minimum keeps it) or equal to
-    its ``lower`` entry.  The cell stops once the next bound reaches its
-    largest live entry.  Otherwise it takes the next ``WINDOW`` samples, cut
-    at the first bound that reaches that maximum, and keeps a z only if some
-    row i has max(D[i, z], least exit cost of z) below row i's largest live
-    entry and some column j has max(M[z, j], least entry cost of z) below
-    column j's.  Both are lower bounds of z's candidates in that row or
-    column, and final entries count as -inf in the maxima, so a skipped z has
+    entry is live unless it is NaN, which np.minimum keeps.  The cell stops
+    once the next bound reaches its largest live entry.  Otherwise it takes
+    the next ``WINDOW`` samples, cut at the first bound that reaches that
+    maximum, and keeps a z only if some row i has max(D[i, z], least exit
+    cost of z) below row i's largest live entry and some column j has
+    max(M[z, j], least entry cost of z) below column j's.  Both are lower bounds of z's candidates in that row or
+    column, and NaN entries count as -inf in the maxima, so a skipped z has
     every candidate at or above each live entry it would have to beat; a NaN
     entry must not hide the live entries of its row or column.  Min and max
     only select among the input floats, so the result is bit-identical to the
@@ -492,11 +495,6 @@ def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1,
     computed whole by one thread, so the output does not depend on the thread
     count.  Targets that are close in space share cells and tighten the
     bounds; see ``cell_order``.
-
-    ``lower`` is an (m, cols) array that the result is known to be at least,
-    as the full-horizon levels are for the half-horizon product.  Entries
-    equal to it are final only after the samples of bound -inf, since their
-    NaN can still replace such an entry.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -514,7 +512,6 @@ def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1,
         for b, a in enumerate(starts):
             Mc = M[:, a:a + CELL_COLS]
             acc = out[rows, a:a + CELL_COLS]
-            lo = None if lower is None else lower[rows, a:a + CELL_COLS]
             acc.fill(np.inf)
             bound = np.maximum(entry, exit_bound[:, b])
             bound[np.isnan(bound)] = -np.inf
@@ -524,10 +521,8 @@ def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1,
             while i < n:
                 first = sorted_bound[i]
                 if first > -np.inf:
-                    # no NaN can follow: NaN entries and entries equal to their
-                    # lower bound are final, and count as -inf (fmax skips NaN)
-                    live = acc if lo is None else np.where(acc == lo, -np.inf, acc)
-                    top = np.fmax.reduce(live, axis=None, initial=-np.inf)
+                    # no NaN can follow: NaN entries are final (fmax skips them)
+                    top = np.fmax.reduce(acc, axis=None, initial=-np.inf)
                     if first >= top:
                         break
                 if i == 0 or first == -np.inf:
@@ -537,9 +532,9 @@ def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1,
                     zs, i = order[i:stop], stop
                     # z can lower a live entry only if both of its bounds beat it
                     keep = ((np.maximum(DT[zs], exit_bound[zs, b, None])
-                             < np.fmax.reduce(live, axis=1, initial=-np.inf)).any(axis=1)
+                             < np.fmax.reduce(acc, axis=1, initial=-np.inf)).any(axis=1)
                             & (np.maximum(Mc[zs], entry[zs, None])
-                               < np.fmax.reduce(live, axis=0, initial=-np.inf)).any(axis=1))
+                               < np.fmax.reduce(acc, axis=0, initial=-np.inf)).any(axis=1))
                     zs = zs[keep]
                 cand = np.maximum(DT[zs, :, None], Mc[zs, None, :],
                                   out=buf[:len(zs), :, :Mc.shape[1]])
@@ -586,7 +581,7 @@ def reduced_horizon(system: MapSystem) -> int:
 
 
 def level_matrix(system: MapSystem, targets: Iterable[int] | None = None,
-                 threads: int = 1, horizon_check: bool = False) -> LevelMatrix:
+                 threads: int = 1) -> LevelMatrix:
     """Pairwise link levels over the requested samples (all by default).
 
     Entry samples z always range over the full sample set regardless of the
@@ -597,58 +592,51 @@ def level_matrix(system: MapSystem, targets: Iterable[int] | None = None,
     (m, m) levels.  Row bands may be computed in parallel; the result does not
     depend on the thread count.  M is freed before the order is undone, one
     axis at a time, so the undo holds at most two (m, m) arrays.
-
-    With ``horizon_check``, the same pass (one D) also runs
-    ``horizon_stability`` and stores its report in the matrix's
-    ``horizon_check``.  Its reduced horizon keeps the first half of the exit
-    window, at least one step.  The exit minima come from one band of
-    ``exit_min_bands``: a copy of the reduced window's, then the same array
-    lowered over the rest of the window.  The
-    half-horizon pass reuses the view, so it recomputes a band's entry costs
-    once per block of ``8 * CELL_COLS`` moved columns.  On the 30x30 tail
-    (588 of 900 columns move: three blocks) D is computed six times, the
-    gather's cost table twice; 2-D costs are summed per axis, so each table
-    takes about 4 ms there.
     """
-    tg, perm = priced_targets(system, targets, horizon_check)
-    m = len(tg)
+    tg, perm = priced_targets(system, targets)
     cols = tg[perm]
-    D = EntryCostRows(system, cols)
-    report = None
-    if horizon_check:
-        for i, _, M in exit_min_bands(system, cols, m, horizon_check=True):
-            if i == 0:
-                M_half = M.copy()
-        # bit patterns: signed zeros and NaN cannot alias
-        moved = (M.view(np.int64) != M_half.view(np.int64)).any(axis=0)
-        M_half = M_half[:, moved]
-    else:
-        M = exit_min_matrix(system, cols)
-    L = bottleneck_product(D, M, threads)
+    M = exit_min_matrix(system, cols)
+    L = bottleneck_product(EntryCostRows(system, cols), M, threads)
     del M
-    if horizon_check:
-        # Column j of the levels depends only on D and column j of the exit
-        # minima: the unmoved columns keep their floats and count as changed
-        # only where NaN.  The half-horizon minima are at least the full ones,
-        # so the half product stops at L.  A pair reachable only at the full
-        # horizon changes by inf.
-        idx, changed, top = np.flatnonzero(moved), 0, 0.0
-        for a in range(0, len(idx), 8 * CELL_COLS):   # whole cells: bounded temporaries
-            full = L[:, idx[a:a + 8 * CELL_COLS]]
-            short = bottleneck_product(D, M_half[:, a:a + 8 * CELL_COLS], threads, lower=full)
-            c = short != full
-            diff = np.abs(short[c] - full[c])
-            changed += np.count_nonzero(c) - np.count_nonzero(np.isnan(full))
-            top = max(top, np.max(diff, where=~np.isnan(diff), initial=0.0))
-        report = HorizonStabilityReport(system.horizon, reduced_horizon(system),
-                                        int(changed + np.count_nonzero(np.isnan(L))), float(top))
-        del M_half
-    if not np.array_equal(perm, np.arange(m)):
+    if not np.array_equal(perm, np.arange(len(tg))):
         inv = np.argsort(perm)
         L = L.take(inv, axis=0)
         L = L.take(inv, axis=1)
-    return LevelMatrix(levels=L, targets=tg, horizon=system.horizon,
-                       spacing=system.spacing, horizon_check=report)
+    return LevelMatrix(levels=L, targets=tg, horizon=system.horizon, spacing=system.spacing)
+
+
+def horizon_report(system: MapSystem, full: LevelMatrix, threads: int = 1) -> HorizonStabilityReport:
+    """Compare ``full`` (from ``level_matrix``) with the levels over the first
+    half of the exit window, ``reduced_horizon``.
+
+    Column j of the levels depends only on the entry costs and column j of
+    the exit minima.  So each band of ``BAND_COLS`` targets in cell order
+    keeps a copy of its reduced-window minima (``exit_min_bands``), and only
+    the columns whose minima move, bit for bit, get a half-horizon product;
+    the others count as changed only where NaN.  So no second (m, m) array
+    is held.
+    """
+    perm = cell_order(system.space.coords, full.targets)
+    cols = full.targets[perm]
+    D = EntryCostRows(system, cols)
+    changed, top = 0, 0.0
+    for i, band, M in exit_min_bands(system, cols, BAND_COLS, horizon_check=True):
+        if i == 0:
+            half = M.copy()
+            continue
+        # bit patterns: signed zeros and NaN cannot alias
+        moved = (M.view(np.int64) != half.view(np.int64)).any(axis=0)
+        at = perm[band]
+        changed += np.count_nonzero(np.isnan(full.levels[:, at[~moved]]))
+        if moved.any():
+            short = bottleneck_product(D, half[:, moved], threads)
+            want = full.levels[np.ix_(perm, at[moved])]
+            c = short != want
+            diff = np.abs(short[c] - want[c])
+            changed += np.count_nonzero(c)
+            top = max(top, np.max(diff, where=~np.isnan(diff), initial=0.0))
+            del short, want, c, diff        # before the next band's copy
+    return HorizonStabilityReport(system.horizon, reduced_horizon(system), int(changed), float(top))
 
 
 def reachable_set(matrix: LevelMatrix, x: int, eps: float) -> np.ndarray:
@@ -665,7 +653,5 @@ def horizon_stability(system: MapSystem, targets: Iterable[int] | None = None,
 
     A nonzero change count means some level is still improving with longer
     orbits, i.e. the horizon may be too short for the reported resolution.
-    The check runs in ``level_matrix``'s pass, which recomputes only the
-    columns whose exit minima move at half the horizon.
     """
-    return level_matrix(system, targets, threads, horizon_check=True).horizon_check
+    return horizon_report(system, level_matrix(system, targets, threads), threads)

@@ -164,8 +164,8 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_horizon_line_matches_horizon_stability(self, tmp_path, capsys, threads):
-        """analyze runs the check in its level-matrix pass; the stderr line is the
-        one horizon_stability's report gives."""
+        """analyze --matrix-out checks the pairs of the matrix it writes; the
+        stderr line is the one horizon_stability's report gives."""
         spec = write_spec(tmp_path, "tail.json", {
             "kind": "map", "source": {"builtin": "counterexample_tail",
                                       "params": {"n_max": 10, "m_max": 8}}})
@@ -177,6 +177,22 @@ class TestAnalyze:
         assert main(["analyze", spec, "--threads", threads,
                      "--matrix-out", str(tmp_path / "m.csv")]) == 0
         assert want in capsys.readouterr().err
+
+    def test_golden_tail_matrix_and_pair_line(self, tmp_path, capsys):
+        """analyze --matrix-out on the 30x30 tail, at one and three threads: the
+        pair line the README quotes, the pinned matrix CSV and the stdout of
+        the analyze_tail workload."""
+        spec = write_spec(tmp_path, "tail.json", tail_spec(30, 30))
+        matrix = tmp_path / "m.csv"
+        for threads in ("1", "3"):
+            assert main(["analyze", spec, "--threads", threads, "--matrix-out", str(matrix)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err.endswith(
+                "horizon check at n_max=31: 23817 pairs changed (max 0.0292)\n")
+            assert hashlib.sha256(matrix.read_bytes()).hexdigest() == (
+                "36d4430005c7a3daa0ce0a067b9c963d27076acac03d4e1304d2f98f2895ccfe")
+            assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+                "f9d884cbbb27505a60e3070a0b9861870bef507a3ebe6dd5c2b0b096d5a5ea20")
 
     @pytest.mark.parametrize("name, payload, state", [
         ("tail_15", tail_spec(15, 15), "lam changed on 1 samples"),

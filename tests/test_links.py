@@ -12,8 +12,8 @@ from nwfilt import core, filtration, links
 from nwfilt.filtration import level_summary, strip_robustness, summarize
 from nwfilt.links import (EntryCostRows, HorizonStabilityReport, LevelMatrix,
                           bottleneck_product, cell_order, entry_cost_rows, exit_min_matrix,
-                          horizon_stability, level_matrix, link_level, nearest_exit_costs,
-                          reachable_set, recompute_witness_level)
+                          horizon_report, horizon_stability, level_matrix, link_level,
+                          nearest_exit_costs, reachable_set, recompute_witness_level)
 
 
 def euclid(a, b):
@@ -103,9 +103,9 @@ SMALL_CELLS = [(1, 1, 1, 1), (3, 5, 2, 3), (16, 12, 8, 5)]
 ONE_ENTRY_MAX = 20_000
 
 
-def assert_product_matches(monkeypatch, D, M, want=None, lower=None):
-    """The product (stopping at ``lower``, if given) equals the full scan bit for
-    bit: with small cells, and with the default cells at threads 1, 2 and 3."""
+def assert_product_matches(monkeypatch, D, M, want=None):
+    """The product equals the full scan bit for bit: with small cells, and with
+    the default cells at threads 1, 2 and 3."""
     want = brute_product(D, M).tobytes() if want is None else want
     for rows, cols, batch, window in SMALL_CELLS:
         if rows * cols == 1 and D.shape[0] * M.shape[1] > ONE_ENTRY_MAX:
@@ -115,9 +115,9 @@ def assert_product_matches(monkeypatch, D, M, want=None, lower=None):
             patch.setattr(links, "CELL_COLS", cols)
             patch.setattr(links, "BATCH", batch)
             patch.setattr(links, "WINDOW", window)
-            assert bottleneck_product(D, M, 1, lower=lower).tobytes() == want
+            assert bottleneck_product(D, M, 1).tobytes() == want
     for threads in (1, 2, 3):
-        assert bottleneck_product(D, M, threads, lower=lower).tobytes() == want
+        assert bottleneck_product(D, M, threads).tobytes() == want
 
 
 @pytest.fixture(scope="module")
@@ -470,57 +470,7 @@ class TestLevelMatrixInCellOrder:
                 self.check(sys, targets, 20, rng)
 
 
-class TestLowerBound:
-    """bottleneck_product(..., lower=L) may stop where the result reaches a known
-    lower bound, as the half-horizon product does at the full-horizon levels."""
-
-    @staticmethod
-    def half_and_full(m, n, seed):
-        """Entry costs, half-horizon exit minima with inf entries, and full-horizon
-        minima over a superset of candidates (hence no larger)."""
-        rng = np.random.default_rng(seed)
-        D = rng.uniform(0.0, 2.0, (m, n))
-        M_half = rng.choice([0.0, 0.5, 1.0, 1.5], (n, m)) + rng.uniform(0.0, 1e-3, (n, m))
-        D[rng.random((m, n)) < 0.2] = np.inf
-        M_half[rng.random((n, m)) < 0.3] = np.inf
-        late = np.where(rng.random((n, m)) < 0.1, rng.uniform(0.0, 2.0, (n, m)), np.inf)
-        return D, M_half, np.minimum(M_half, late)
-
-    @pytest.mark.parametrize("m, n", [(1, 3), (7, 70), (70, 150), (130, 90)])
-    def test_full_horizon_levels_as_the_bound(self, monkeypatch, m, n):
-        D, M_half, M_full = self.half_and_full(m, n, seed=m + n)
-        assert (M_full <= M_half).all()
-        lower = brute_product(D, M_full)
-        want = brute_product(D, M_half)
-        assert (want >= lower).all()
-        assert m == 1 or ((want == lower).any() and (want != lower).any())
-        assert_product_matches(monkeypatch, D, M_half, lower=lower)
-
-    def test_bound_equal_to_the_result_zero_or_inf(self, monkeypatch):
-        D, M, _ = self.half_and_full(70, 150, seed=3)
-        D[:40] = np.inf                     # rows no sample reaches: inf levels
-        want = brute_product(D, M)
-        assert np.isinf(want[:40]).all()
-        assert_product_matches(monkeypatch, D, M, lower=want)
-        assert_product_matches(monkeypatch, D, M, lower=np.zeros_like(want))
-        assert_product_matches(monkeypatch, D, M, lower=np.where(np.isinf(want), np.inf, 0.0))
-
-    def test_nan_samples_are_visited_before_the_bound_can_stop(self, monkeypatch):
-        """The indexed exit-min can be NaN at half the horizon and finite at the
-        full one (a NaN iterate sorts last).  On rows no sample reaches, the
-        whole cell starts equal to its inf bound; the NaN must still get in."""
-        D, M_half, M_full = self.half_and_full(70, 150, seed=4)
-        D[:40] = np.inf
-        M_half[:links.BATCH + 16, 5] = np.nan    # more than a batch of NaN-bound samples
-        M_half[100, 66] = np.nan
-        lower = brute_product(D, M_full)
-        want = brute_product(D, M_half)
-        assert np.isnan(want[:, [5, 66]]).all() and np.isfinite(lower[40:, [5, 66]]).all()
-        assert np.isinf(lower[:40]).all()
-        assert_product_matches(monkeypatch, D, M_half, want.tobytes(), lower=lower)
-
-
-def visited_samples(monkeypatch, D, M, lower=None):
+def visited_samples(monkeypatch, D, M):
     """The product at the default cells and one thread, with the entry samples
     it visits summed over its cells, counted from the candidate buffers that
     its ``np.maximum(..., out=)`` calls fill."""
@@ -543,14 +493,14 @@ def visited_samples(monkeypatch, D, M, lower=None):
 
     with monkeypatch.context() as patch:
         patch.setattr(links, "np", CountingNumpy())
-        got = bottleneck_product(D, M, 1, lower=lower)
+        got = bottleneck_product(D, M, 1)
     return got, visited[0]
 
 
 class TestWindowFilter:
     """After its first batch, a cell visits only the samples of each window that
-    can lower one of its live entries: a NaN entry, or one equal to its lower
-    bound, is final and must not hide the live entries of its row or column."""
+    can lower one of its live entries: a NaN entry is final and must not hide
+    the live entries of its row or column."""
 
     @staticmethod
     def nan_row_and_empty_window():
@@ -582,19 +532,6 @@ class TestWindowFilter:
         got, visited = visited_samples(monkeypatch, D, M)
         assert got.tobytes() == want.tobytes()
         assert visited == links.BATCH + 50          # the first batch, then the late samples
-
-    @pytest.mark.parametrize("m, n", [(70, 150), (130, 300)])
-    def test_entries_at_their_lower_bound_are_final(self, monkeypatch, m, n):
-        """With the result itself as ``lower``, entries that reach it stop
-        counting, so the cells visit fewer samples than without it."""
-        rng = np.random.default_rng(m)
-        D = rng.uniform(0.0, 2.0, (m, n))
-        M = rng.uniform(0.0, 2.0, (n, m))
-        want = brute_product(D, M)
-        plain, visited_plain = visited_samples(monkeypatch, D, M)
-        bounded, visited_bounded = visited_samples(monkeypatch, D, M, lower=want)
-        assert plain.tobytes() == bounded.tobytes() == want.tobytes()
-        assert visited_bounded < visited_plain
 
 
 def lowered_exit_min(system, cols):
@@ -730,16 +667,18 @@ def traced_peak(fn) -> int:
 
 class TestLevelMatrixMemory:
     """A level matrix over m = n targets holds the exit minima and the levels
-    (with the horizon check, both horizons' exit minima) but never the whole
-    (m, n) entry costs: the call's traced peak stays below 2.6 (m, n) float
-    arrays, where holding D as well takes more than 3."""
+    but never the whole (m, n) entry costs: the call's traced peak stays below
+    2.6 (m, n) float arrays, where holding D as well takes more than 3.  The
+    horizon check (horizon_stability) stays under the same bound: beside the
+    levels it holds one band of exit minima, its copy and the band's moved
+    columns of levels."""
 
     BOUND = 2.6
 
     @pytest.mark.parametrize("horizon_check", [False, True])
     def test_map(self, horizon_check):
         system = build_grid_system("f2", box=[[-5, 5]], spacing=0.01, horizon=64)
-        peak = traced_peak(lambda: level_matrix(system, horizon_check=horizon_check))
+        peak = traced_peak(lambda: (horizon_stability if horizon_check else level_matrix)(system))
         assert peak < self.BOUND * 8 * system.n ** 2
 
     def test_flow(self):
@@ -749,12 +688,12 @@ class TestLevelMatrixMemory:
         assert peak < self.BOUND * 8 * system.n ** 2
 
     def test_coordinate_table(self):
-        # the tabulated gather holds its (n, m) cost table beside the exit
-        # minima of both horizons, but frees it before the product
+        # the tabulated gather builds its cost table in chunks and frees each
+        # before the product
         system = coordinate_table(1000, 2, 8, seed=3)
         peak = traced_peak(lambda: level_matrix(system))
         assert peak < self.BOUND * 8 * system.n ** 2
-        peak = traced_peak(lambda: level_matrix(system, horizon_check=True))
+        peak = traced_peak(lambda: horizon_stability(system))
         assert peak < (self.BOUND + 1) * 8 * system.n ** 2
 
 
@@ -943,29 +882,26 @@ MOVED_CASES = {
 
 
 class TestHorizonMovedColumns:
-    """horizon_stability recomputes only the columns whose exit minima moved, and
-    level_matrix(..., horizon_check=True) does so in the same pass as the levels;
-    both reports equal that of the whole half-horizon matrix, and the fused
-    pass's levels equal level_matrix's bit for bit."""
+    """horizon_report recomputes, band by band, only the columns whose exit
+    minima moved, and compares them with the full-horizon levels; its report
+    and horizon_stability's equal that of the whole half-horizon matrix."""
 
     @staticmethod
     def check(monkeypatch, system, targets):
         full = level_matrix(system, targets)
         want = whole_half_report(system, full)
 
-        def assert_fused(threads):
-            fused = level_matrix(system, targets, threads, horizon_check=True)
-            assert fused.levels.tobytes() == full.levels.tobytes()
-            assert fused.horizon_check == want
+        def assert_report(threads):
+            assert horizon_stability(system, targets, threads) == want
+            assert horizon_report(system, full, threads) == want
 
         for threads in (1, 2, 3):
-            assert_fused(threads)
-        assert horizon_stability(system, targets) == want
+            assert_report(threads)
         for batch, window in ((1, 2), (2, 1)):
             with monkeypatch.context() as patch:
                 patch.setattr(links, "BATCH", batch)
                 patch.setattr(links, "WINDOW", window)
-                assert_fused(1)
+                assert_report(1)
         return want
 
     @pytest.mark.parametrize("case", sorted(MOVED_CASES))
@@ -995,17 +931,16 @@ class TestHorizonMovedColumns:
             self.check(monkeypatch, system, [1, 4, 9, 16, 25, 36])
 
     def test_level_arrays_priced_before_allocation(self, monkeypatch, f2_small):
-        """D, M (and the half-horizon M in the fused pass) are (m, n) and the
-        levels (m, m): their bytes are priced against core.MAX_MATRIX_BYTES."""
+        """D and M are (m, n) and the levels (m, m): their bytes are priced
+        against core.MAX_MATRIX_BYTES."""
         tg = np.arange(0, f2_small.n, 8)
         m, n = len(tg), f2_small.n
-        for check, arrays in ((False, 2), (True, 3)):
-            price = 8 * m * (arrays * n + m)
-            monkeypatch.setattr(core, "MAX_MATRIX_BYTES", price - 1)
-            with pytest.raises(ResourceLimitError, match="coarser grid"):
-                level_matrix(f2_small, tg, horizon_check=check)
-            monkeypatch.setattr(core, "MAX_MATRIX_BYTES", price)
-            level_matrix(f2_small, tg, horizon_check=check)
+        price = 8 * m * (2 * n + m)
+        monkeypatch.setattr(core, "MAX_MATRIX_BYTES", price - 1)
+        with pytest.raises(ResourceLimitError, match="coarser grid"):
+            level_matrix(f2_small, tg)
+        monkeypatch.setattr(core, "MAX_MATRIX_BYTES", price)
+        level_matrix(f2_small, tg)
 
 
 def window_systems(first_step):
@@ -1298,6 +1233,7 @@ class TestExitMinBands:
             for g, w in zip(got, want[1 - check:]):
                 assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("horizon", [1, 2, 9])
     def test_sorted_kernel_on_special_floats(self, horizon):
         rng = np.random.default_rng(horizon)

@@ -125,3 +125,39 @@ def test_readme_quick_start_runs():
     section = readme.split("## Library quick start", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     run_python(code + "assert certs\n")
+
+
+BLAS_SEEN = """
+import json, os, sys
+
+seen = {}
+
+
+class Spy:
+    # the BLAS variables as numpy's import finds them
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")})
+
+
+sys.meta_path.insert(0, Spy())
+import nwfilt.cli
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("given, want", [
+    ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"},
+     {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"}),
+], ids=["unset", "user-set"])
+def test_cli_sets_one_blas_thread_before_numpy_unless_the_user_did(given, want):
+    """The engine does no BLAS work: the CLI asks for one BLAS thread before
+    numpy is imported, and keeps a value the user set."""
+    env = {k: v for k, v in os.environ.items() if k not in want}
+    env.update(given, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", BLAS_SEEN], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == want
