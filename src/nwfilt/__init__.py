@@ -19,12 +19,12 @@ __version__ = "0.1.0"
 # submodule -> the public names it provides
 _EXPORTS = {
     "core": ("Branch", "CostSpace", "ExtendedLevel", "MapSystem", "ResourceLimitError",
-             "build_sampled_system", "build_tabulated_system", "compare_levels",
-             "grid_points", "neg_level", "pos_level", "validate_cost_space"),
+             "build_sampled_system", "build_tabulated_system", "grid_points",
+             "neg_level", "pos_level"),
     "links": ("LevelMatrix", "LinkWitness", "level_matrix", "link_level",
-              "horizon_stability", "reachable_set", "recompute_witness_level"),
-    "filtration": ("DiagramSlice", "LevelSummary", "critical_levels", "diagram",
-                   "nw_level", "omega_membership", "omega_slice", "summarize"),
+              "horizon_stability", "recompute_witness_level"),
+    "filtration": ("DiagramSlice", "LevelSummary", "diagram", "omega_membership",
+                   "omega_slice", "summarize"),
     "flows": ("SemiflowSystem", "build_flow_system",
               "flow_level_matrix", "flow_link_level", "integrate"),
     "wandering": ("WanderingCertificate", "certify_point", "find_wandering_certificates"),
@@ -34,8 +34,7 @@ _EXPORTS = {
     "oracle": ("FiniteInstance", "definitional_omega", "definitional_reachable",
                "random_instance", "run_verification", "verify_lemmas"),
     "export": ("DiagramDocument", "build_document", "export_diagram_json",
-               "export_levels_csv", "level_token", "parse_diagram_json",
-               "parse_level_token", "render_svg"),
+               "export_levels_csv", "level_token", "render_svg"),
     "specfile": ("LoadedSystem", "SpecError", "build_from_spec", "load_system"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

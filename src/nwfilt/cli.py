@@ -191,6 +191,8 @@ def cmd_diagram(args) -> int:
 def cmd_detect(args) -> int:
     if args.limit is not None and args.limit < 1:
         raise SpecError("--limit must be at least 1")
+    if args.min_gap is not None and not args.min_gap > 0:
+        raise SpecError("--min-gap must be positive")
     _check_writable(args.out)
     loaded = load_system(args.spec)
     if loaded.kind != "map":

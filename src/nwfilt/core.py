@@ -102,16 +102,6 @@ def pos_level(magnitude: float) -> ExtendedLevel:
     return ExtendedLevel(Branch.POS, magnitude)
 
 
-def compare_levels(a: ExtendedLevel, b: ExtendedLevel) -> int:
-    """Total order on extended levels: -1, 0 or +1."""
-    ka, kb = a.sort_key, b.sort_key
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Cost spaces
 # ---------------------------------------------------------------------------
@@ -158,32 +148,6 @@ class CostSpace:
             return self.matrix.shape[0]
         return self.coords.shape[0]
 
-    @property
-    def dim(self) -> int | None:
-        return None if self.coords is None else self.coords.shape[1]
-
-    @property
-    def uses_euclidean(self) -> bool:
-        return self.matrix is None
-
-    def pairwise(self) -> np.ndarray:
-        """Full (n, n) cost table between samples."""
-        if self.matrix is not None:
-            return self.matrix
-        return points_to_samples_cost(self.coords, self)
-
-    def cost(self, i: int, j: int) -> float:
-        if self.matrix is not None:
-            return float(self.matrix[i, j])
-        return float(_euclidean(self.coords[i], self.coords[j]))
-
-
-def _euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    d = a - b
-    if d.shape[-1] == 1:
-        return abs(float(d[0]))
-    return float(np.sqrt(np.sum(d * d)))
-
 
 def points_to_samples_cost(points: np.ndarray, space: CostSpace) -> np.ndarray:
     """Euclidean cost from raw coordinate rows to every sample, shape (len(points), n).
@@ -217,54 +181,6 @@ def points_to_samples_cost(points: np.ndarray, space: CostSpace) -> np.ndarray:
             diff = p[:, None, :] - coords[None, :, :]
             o[...] = np.sqrt(np.sum(diff * diff, axis=2))
     return out
-
-
-@dataclass(frozen=True)
-class CostValidationReport:
-    non_degenerate: bool
-    symmetric: bool
-    triangle: bool
-    degenerate_witness: tuple[int, int] | None = None
-    asymmetry_witness: tuple[int, int] | None = None
-    triangle_witness: tuple[int, int, int] | None = None
-
-    @property
-    def all_metric(self) -> bool:
-        return self.non_degenerate and self.symmetric and self.triangle
-
-
-def validate_cost_space(space: CostSpace) -> CostValidationReport:
-    """Check non-degeneracy, symmetry and the triangle inequality by full scan.
-
-    Coordinate-backed (Euclidean) spaces satisfy all three by construction and
-    are reported as such without scanning.
-    """
-    if space.uses_euclidean:
-        return CostValidationReport(True, True, True)
-    c = space.matrix
-    n = c.shape[0]
-    report = {"non_degenerate": True, "symmetric": True, "triangle": True,
-              "degenerate_witness": None, "asymmetry_witness": None, "triangle_witness": None}
-    off = c + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
-    zeros = np.argwhere(off == 0.0)
-    if len(zeros):
-        report["non_degenerate"] = False
-        report["degenerate_witness"] = (int(zeros[0, 0]), int(zeros[0, 1]))
-    asym = np.argwhere(c != c.T)
-    if len(asym):
-        report["symmetric"] = False
-        report["asymmetry_witness"] = (int(asym[0, 0]), int(asym[0, 1]))
-    # c[i,k] <= c[i,j] + c[j,k] for all triples; scan j as the middle point
-    for j in range(n):
-        with np.errstate(invalid="ignore"):
-            bound = c[:, j][:, None] + c[j, :][None, :]
-        bad = np.argwhere(c > bound)
-        if len(bad):
-            i, k = int(bad[0, 0]), int(bad[0, 1])
-            report["triangle"] = False
-            report["triangle_witness"] = (i, j, k)
-            break
-    return CostValidationReport(**report)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +248,6 @@ class MapSystem:
     orbit_coords: np.ndarray | None = None       # (n, horizon, d) float
     orbit_table: np.ndarray | None = None        # (n, horizon) int
     spacing: float | None = None
-    box: np.ndarray | None = None
     name: str = "system"
     first_step: int = 1
 
@@ -390,7 +305,7 @@ def build_sampled_system(step_fn: Callable[[np.ndarray], np.ndarray],
             cur = np.asarray(step_fn(cur), dtype=float).reshape(n, d)
             orbits[:, k, :] = cur
     return MapSystem(space=CostSpace(coords=pts), horizon=horizon, orbit_coords=orbits,
-                     spacing=spacing, box=np.asarray(box, dtype=float), name=name)
+                     spacing=spacing, name=name)
 
 
 def build_tabulated_system(step_table: Sequence[int], horizon: int | None = None,

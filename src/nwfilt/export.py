@@ -36,20 +36,6 @@ def level_token(level: ExtendedLevel) -> str:
     return "-" + repr(m)
 
 
-def parse_level_token(token: str) -> ExtendedLevel:
-    if token == "+0":
-        return ExtendedLevel(Branch.POS, 0.0)
-    if token == "-0":
-        return ExtendedLevel(Branch.NEG, 0.0)
-    if token == "inf":
-        return ExtendedLevel(Branch.POS, np.inf)
-    if token == "-inf":
-        return ExtendedLevel(Branch.NEG, np.inf)
-    if token.startswith("-"):
-        return ExtendedLevel(Branch.NEG, float(token[1:]))
-    return ExtendedLevel(Branch.POS, float(token))
-
-
 def _fmt(v: float) -> str:
     return f"{v:.9g}"
 
@@ -86,8 +72,6 @@ class DiagramDocument:
     point_indices: np.ndarray
     coords: np.ndarray | None = None
     spacing: float | None = None
-    eps_label: str = "budget"
-    state_label: str = "state"
 
 
 def build_document(summary: LevelSummary, slices: list[DiagramSlice],
@@ -131,32 +115,6 @@ def export_diagram_json(doc: DiagramDocument) -> bytes:
                "slices": slices,
                "points": points}
     return (json.dumps(payload, indent=2) + "\n").encode()
-
-
-def parse_diagram_json(data: bytes) -> DiagramDocument:
-    """Inverse of export_diagram_json; re-serializing gives identical bytes."""
-    payload = json.loads(data.decode())
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {payload.get('schema_version')!r}")
-    pts = payload["points"]
-    idx = np.array([p["index"] for p in pts], dtype=np.int64)
-    lam = np.array([np.inf if p["lambda"] == "inf" else float(p["lambda"]) for p in pts])
-    beta = np.array([np.nan if p["beta"] is None
-                     else (np.inf if p["beta"] == "inf" else float(p["beta"])) for p in pts])
-    coords = None
-    if pts and "coords" in pts[0]:
-        full = max(int(p["index"]) for p in pts) + 1
-        dim = len(pts[0]["coords"])
-        coords = np.zeros((full, dim))
-        for p in pts:
-            coords[p["index"]] = p["coords"]
-    slices = [DiagramSlice(level=parse_level_token(s["level"]),
-                           members=np.array(s["members"], dtype=np.int64))
-              for s in payload["slices"]]
-    spacing = payload["system"].get("h")
-    return DiagramDocument(system=payload["system"], slices=slices, lam=lam,
-                           beta=beta, point_indices=idx, coords=coords,
-                           spacing=spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +198,10 @@ def render_svg(doc: DiagramDocument, width: int = 640, height: int = 420) -> byt
         parts.append(f'<text x="{x_of(i) + col_w / 2:.2f}" y="{height - 12:.2f}" '
                      f'font-size="9" text-anchor="middle">{level_token(s.level)}</text>')
     parts.append(f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{height - 2:.2f}" '
-                 f'font-size="10" text-anchor="middle">{doc.eps_label}</text>')
+                 f'font-size="10" text-anchor="middle">budget</text>')
     parts.append(f'<text x="12" y="{_MARGIN_T + plot_h / 2:.2f}" font-size="10" '
                  f'text-anchor="middle" transform="rotate(-90 12 {_MARGIN_T + plot_h / 2:.2f})">'
-                 f'{doc.state_label}</text>')
+                 'state</text>')
     for v in (lo, hi, 0.0) if lo < 0.0 < hi else (lo, hi):
         parts.append(f'<text x="{_MARGIN_L - 4:.2f}" y="{y_of(v) + 3:.2f}" font-size="9" '
                      f'text-anchor="end">{v:.9g}</text>')

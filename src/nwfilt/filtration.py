@@ -69,12 +69,6 @@ class DiagramSlice:
     members: np.ndarray   # sorted sample indices
 
 
-def nw_level(matrix: LevelMatrix, x: int) -> float:
-    """Recurrence level of sample x: the diagonal entry level(x, x)."""
-    r = matrix.row_of(x)
-    return float(matrix.levels[r, r])
-
-
 def _excursions(out: np.ndarray, returns: np.ndarray) -> np.ndarray:
     """Per row x: the least out[x, y] over the y with returns[x, y] > out[x, y], else inf.
 
@@ -295,23 +289,6 @@ def diagram(summary: LevelSummary, levels: Sequence[ExtendedLevel],
             raise AssertionError("slice nesting violated; this is a bug")
         prev = cur
     return slices
-
-
-def critical_levels(matrix: LevelMatrix) -> np.ndarray:
-    """Sorted distinct finite values where some slice can change.
-
-    These are the diagonal levels together with every robustness candidate
-    (excursion levels of pairs whose return is strictly costlier).  Between
-    consecutive values all slices are constant.
-    """
-    L = matrix.levels
-    vals = [np.diagonal(L)]
-    with np.errstate(invalid="ignore"):
-        qual = L.T > L
-    vals.append(L[qual])
-    v = np.concatenate([np.ravel(x) for x in vals])
-    v = v[np.isfinite(v)]
-    return np.unique(v)
 
 
 def coordinate_intervals(members: np.ndarray, coords: np.ndarray,

@@ -125,8 +125,7 @@ def build_flow_system(field_fn: Callable[[np.ndarray], np.ndarray],
                      "raise horizon.dt, lower horizon.t_max or use a coarser grid")
     traj = np.swapaxes(integrate(field_fn, pts, t_max, dt), 0, 1)   # the sample-major store
     return SemiflowSystem(space=CostSpace(coords=pts), horizon=traj.shape[1] - 1,
-                          orbit_coords=traj[:, 1:], spacing=spacing,
-                          box=np.asarray(box, dtype=float), name=name,
+                          orbit_coords=traj[:, 1:], spacing=spacing, name=name,
                           dt=dt, t_min=t_min, t_max=t_max)
 
 

@@ -561,8 +561,7 @@ def priced_targets(system: MapSystem, targets: Iterable[int] | None = None,
     ``horizon_check``, and the (m, m) levels: 8 * m * ((3 or 2) * n + m) bytes.
     The price is conservative: D is computed by row band, and
     ``level_summary`` holds one band of exit minima (all of them when one
-    band covers every target) and no (m, m) levels.  The banded pass did not
-    change the price, so the same specs are accepted and rejected.
+    band covers every target) and no (m, m) levels.
     """
     n = system.n
     if n == 0:
@@ -637,14 +636,6 @@ def horizon_report(system: MapSystem, full: LevelMatrix, threads: int = 1) -> Ho
             top = max(top, np.max(diff, where=~np.isnan(diff), initial=0.0))
             del short, want, c, diff        # before the next band's copy
     return HorizonStabilityReport(system.horizon, reduced_horizon(system), int(changed), float(top))
-
-
-def reachable_set(matrix: LevelMatrix, x: int, eps: float) -> np.ndarray:
-    """Samples reachable from x within budget eps: {y : level(x, y) <= eps}."""
-    if np.isnan(eps) or eps < 0:
-        raise ValueError("eps must be non-negative")
-    row = matrix.levels[matrix.row_of(x)]
-    return matrix.targets[row <= eps]
 
 
 def horizon_stability(system: MapSystem, targets: Iterable[int] | None = None,

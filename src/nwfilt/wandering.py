@@ -33,7 +33,7 @@ def find_wandering_certificates(matrix: LevelMatrix, min_gap: float,
     z)`` gives a certificate's forward witness.  An empty list is evidence
     (not proof) that every sample is robustly recurrent at this resolution.
     """
-    if min_gap <= 0:
+    if not min_gap > 0:
         raise ValueError("min_gap must be positive")
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")

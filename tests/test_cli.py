@@ -548,6 +548,14 @@ class TestDetect:
         assert main(["detect", spec, "--limit", "1"]) == 0
         assert capsys.readouterr().out.count("\n") == 2
 
+    @pytest.mark.parametrize("gap", ["nan", "0", "-1"])
+    def test_min_gap_not_positive_rejected_before_load(self, tmp_path, capsys, gap):
+        # 10,001 samples: past the level-matrix cap, so any work would exit 3
+        spec = f2_spec(tmp_path, h=0.001, box=(-5.0, 5.0))
+        assert main(["detect", spec, "--min-gap", gap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--min-gap" in captured.err
+
     def test_semiflow_rejected(self, tmp_path):
         spec = write_spec(tmp_path, "fz.json", {
             "kind": "semiflow", "source": {"builtin": "flow_Z"},

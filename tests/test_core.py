@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nwfilt.core import (Branch, CostSpace, ExtendedLevel, ResourceLimitError,
-                         build_sampled_system, build_tabulated_system, compare_levels,
-                         grid_axis, grid_points, neg_level, points_to_samples_cost,
-                         pos_level, validate_cost_space)
+                         build_sampled_system, build_tabulated_system, grid_axis,
+                         grid_points, neg_level, points_to_samples_cost, pos_level)
 
 
 def doubling(pts):
@@ -14,13 +13,13 @@ def doubling(pts):
 
 class TestExtendedLevel:
     def test_split_origin_order(self):
-        assert compare_levels(neg_level(0.0), pos_level(0.0)) == -1
+        assert neg_level(0.0) < pos_level(0.0)
 
     def test_negative_branch_reversed(self):
-        assert compare_levels(neg_level(2.0), neg_level(1.0)) == -1
+        assert neg_level(2.0) < neg_level(1.0)
 
     def test_infinity_is_maximal(self):
-        assert compare_levels(pos_level(1.0), pos_level(np.inf)) == -1
+        assert pos_level(1.0) < pos_level(np.inf)
         assert pos_level(np.inf) >= neg_level(np.inf)
 
     def test_rejects_negative_magnitude(self):
@@ -36,12 +35,11 @@ class TestExtendedLevel:
         levels = [ExtendedLevel(b, m) for b, m in raw]
         for a in levels:
             for b in levels:
-                c = compare_levels(a, b)
-                assert c in (-1, 0, 1)
-                assert compare_levels(b, a) == -c
+                assert (a < b) + (b < a) + (a <= b and b <= a) == 1
+                assert (a <= b) == (not b < a)
                 for d in levels:
-                    if c <= 0 and compare_levels(b, d) <= 0:
-                        assert compare_levels(a, d) <= 0
+                    if a <= b and b <= d:
+                        assert a <= d
 
 
 class TestGrid:
@@ -120,29 +118,6 @@ class TestTabulated:
 
 
 class TestValidateCostSpace:
-    def test_euclidean_grid_is_metric(self):
-        space = CostSpace(coords=np.linspace(0, 1, 5)[:, None])
-        rep = validate_cost_space(space)
-        assert rep.all_metric
-
-    def test_degeneracy_witness(self):
-        m = np.array([[0.0, 0.0], [1.0, 0.0]])
-        rep = validate_cost_space(CostSpace(matrix=m))
-        assert not rep.non_degenerate
-        assert rep.degenerate_witness == (0, 1)
-
-    def test_triangle_witness(self):
-        m = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-        rep = validate_cost_space(CostSpace(matrix=m))
-        assert rep.symmetric and rep.non_degenerate and not rep.triangle
-        i, j, k = rep.triangle_witness
-        assert m[i, k] > m[i, j] + m[j, k]
-
-    def test_asymmetry_witness(self):
-        m = np.array([[0.0, 1.0], [2.0, 0.0]])
-        rep = validate_cost_space(CostSpace(matrix=m))
-        assert not rep.symmetric
-
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ValueError):
             CostSpace(matrix=np.array([[1.0]]))

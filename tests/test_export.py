@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,8 +7,7 @@ from hypothesis import given, strategies as st
 from nwfilt.builtins import build_grid_system, counterexample_tail
 from nwfilt.core import Branch, ExtendedLevel, neg_level, pos_level
 from nwfilt.export import (build_document, export_diagram_json, export_levels_csv,
-                           level_token, parse_diagram_json, parse_level_token,
-                           render_svg)
+                           level_token, render_svg)
 from nwfilt.filtration import DiagramSlice, diagram, summarize
 from nwfilt.links import level_matrix
 
@@ -22,16 +23,19 @@ class TestLevelTokens:
         assert level_token(pos_level(1.25)) == "1.25"
         assert level_token(neg_level(0.5)) == "-0.5"
 
-    def test_parse_inverts(self):
-        for tok in ("-0", "+0", "inf", "-inf", "0.5", "-1.25"):
-            assert level_token(parse_level_token(tok)) == tok
-
     @given(st.sampled_from([Branch.NEG, Branch.POS]),
            st.floats(min_value=0, max_value=1e12, allow_nan=False))
     def test_round_trip_any_level(self, branch, mag):
-        lv = ExtendedLevel(branch, mag)
-        back = parse_level_token(level_token(lv))
-        assert back.branch == lv.branch and back.magnitude == lv.magnitude
+        """A numeric token is the sign of a NEG level and then a decimal that
+        reads back as the magnitude, so it never equals a reserved token."""
+        tok = level_token(ExtendedLevel(branch, mag))
+        if mag == 0.0:
+            assert tok == ("-0" if branch is Branch.NEG else "+0")
+            return
+        sign = "-" if branch is Branch.NEG else ""
+        assert tok.startswith(sign) and tok not in ("-0", "+0", "inf", "-inf")
+        digits = tok[len(sign):]
+        assert digits[0].isdigit() and float(digits) == mag
 
 
 @pytest.fixture(scope="module")
@@ -95,19 +99,29 @@ def random_document(seed):
 
 
 class TestJson:
-    def test_round_trip_bytes_identical(self):
+    def test_floats_read_back_bit_for_bit(self):
+        def token(v):
+            """What the exporter writes for a document float."""
+            return None if np.isnan(v) else "inf" if np.isinf(v) else v
+
+        def bits(v):
+            """A float as its bit pattern, so -0.0 differs from 0.0."""
+            return np.float64(v).view(np.int64) if isinstance(v, float) else v
+
         for seed in range(100):
             doc = random_document(seed)
-            blob = export_diagram_json(doc)
-            again = export_diagram_json(parse_diagram_json(blob))
-            assert blob == again
+            points = json.loads(export_diagram_json(doc))["points"]
+            assert [p["index"] for p in points] == doc.point_indices.tolist()
+            for p, lam, beta in zip(points, doc.lam, doc.beta):
+                got = [p["lambda"], p["beta"], *p["coords"]]
+                want = [token(v) for v in [lam, beta, *doc.coords[p["index"]]]]
+                assert list(map(bits, got)) == list(map(bits, want))
 
     def test_schema_fields(self, small_f2):
         sys, summ = small_f2
         slices = diagram(summ, [neg_level(0.0), pos_level(0.0), pos_level(0.5)])
         doc = build_document(summ, slices, {"name": "f2", "kind": "map", "h": 0.02},
                              sys.space.coords, sys.spacing)
-        import json
         payload = json.loads(export_diagram_json(doc))
         assert payload["schema_version"] == 1
         assert [s["level"] for s in payload["slices"]] == ["-0", "+0", "0.5"]
@@ -121,7 +135,6 @@ class TestJson:
         slices = diagram(summ, [neg_level(1.0)])
         doc = build_document(summ, slices, {"name": "f_rep", "kind": "map", "h": 0.02},
                              sys.space.coords, sys.spacing)
-        import json
         payload = json.loads(export_diagram_json(doc))
         (iv,) = payload["slices"][0]["intervals"]
         assert iv[0] == -5.0 and abs(iv[1] + 1.0) <= 0.04

@@ -3,8 +3,7 @@ import pytest
 
 from nwfilt.builtins import build_grid_system, counterexample_tail, tail_start_index
 from nwfilt.core import build_tabulated_system, neg_level, pos_level
-from nwfilt.filtration import (critical_levels, diagram, nw_level, omega_membership,
-                               omega_slice, summarize,
+from nwfilt.filtration import (diagram, omega_membership, omega_slice, summarize,
                                coordinate_intervals)
 from nwfilt import filtration
 from nwfilt.links import LevelMatrix, level_matrix, link_level
@@ -41,12 +40,13 @@ def two_point():
 
 class TestRecurrenceLevel:
     def test_doubling_wedge_value(self, f2):
-        sys, mat, _ = f2
-        assert abs(nw_level(mat, sys.index_of(3.0)) - 1.0) <= 0.02
+        sys, _, summ = f2
+        assert abs(summ.lam[summ.row_of(sys.index_of(3.0))] - 1.0) <= 0.02
 
     def test_fixed_point_is_zero(self, f_rep):
         sys, mat, _ = f_rep
-        assert nw_level(mat, sys.index_of(-2.0)) == 0.0
+        x = mat.row_of(sys.index_of(-2.0))
+        assert mat.levels[x, x] == 0.0
 
     def test_tail_start_level(self):
         sys = counterexample_tail(50, 50)
@@ -151,27 +151,6 @@ class TestDiagram:
         neg0 = set(omega_slice(summ, neg_level(0.0)).tolist())
         pos0 = set(omega_slice(summ, pos_level(0.0)).tolist())
         assert neg0 <= pos0
-
-
-class TestCriticalLevels:
-    def test_two_point(self, two_point):
-        _, mat, _ = two_point
-        np.testing.assert_array_equal(critical_levels(mat), [0.0, 1.0])
-
-    def test_identity_and_cycle(self):
-        m = np.ones((3, 3)) - np.eye(3)
-        cyc = build_tabulated_system([1, 2, 0], horizon=6, cost_matrix=m)
-        np.testing.assert_array_equal(critical_levels(level_matrix(cyc)), [0.0])
-        ident = build_grid_system("identity", box=[[0, 1]], spacing=0.5, horizon=2)
-        np.testing.assert_array_equal(critical_levels(level_matrix(ident)), [0.0])
-
-    def test_slices_constant_between_criticals(self, two_point):
-        _, mat, summ = two_point
-        crit = critical_levels(mat)
-        for lo, hi in zip(crit, crit[1:]):
-            a = omega_slice(summ, pos_level((lo + hi) / 2))
-            b = omega_slice(summ, pos_level(lo + 0.75 * (hi - lo)))
-            np.testing.assert_array_equal(a, b)
 
 
 class TestStructuralLaws:

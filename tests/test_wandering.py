@@ -70,8 +70,15 @@ class TestDetector:
         assert keys == sorted(keys)
 
     def test_min_gap_must_be_positive(self, two_point):
-        with pytest.raises(ValueError):
-            find_wandering_certificates(two_point[1], 0.0)
+        for min_gap in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="min_gap"):
+                find_wandering_certificates(two_point[1], min_gap)
+
+    def test_infinite_min_gap_reports_only_pairs_that_never_return(self):
+        m = np.array([[0.0, 1.0], [np.inf, 0.0]])
+        mat = level_matrix(build_tabulated_system([1, 1], horizon=2, cost_matrix=m))
+        certs = find_wandering_certificates(mat, np.inf)
+        assert [(c.x, c.z, c.eps, c.gap) for c in certs] == [(0, 1, 0.0, np.inf)]
 
     def test_limit_below_one_rejected(self, two_point):
         for limit in (0, -1):
