@@ -204,14 +204,16 @@ def cmd_detect(args) -> int:
     coords = _coords(loaded)
     if args.out:
         payload = {"schema_version": 1,
-                   "system": loaded.meta, "min_gap": min_gap,
+                   "system": loaded.meta,
+                   "min_gap": min_gap if np.isfinite(min_gap) else "inf",
                    "certificates": [
                        {"x": c.x, "z": c.z,
                         **({"x_coords": [float(v) for v in coords[c.x]],
                             "z_coords": [float(v) for v in coords[c.z]]} if coords is not None else {}),
                         "eps": c.eps, "gap": float(c.gap) if np.isfinite(c.gap) else "inf"}
                        for c in certs]}
-        Path(args.out).write_bytes((json.dumps(payload, indent=2) + "\n").encode())
+        Path(args.out).write_bytes((json.dumps(payload, indent=2, allow_nan=False)
+                                    + "\n").encode())
     lines = ["x,z,eps,gap"]
     for c in certs:
         lines.append(f"{c.x},{c.z},{c.eps:.9g},{c.gap:.9g}")
@@ -227,6 +229,8 @@ def cmd_verify(args) -> int:
 
     if args.seeds < 1:
         raise SpecError("--seeds must be at least 1")
+    if args.seed_start < 0:
+        raise SpecError("--seed-start must be at least 0")
     if args.max_size < 2 or args.max_size > 12:
         raise SpecError("--max-size must be in [2, 12]")
     dump_dir = Path(args.dump_failures) if args.dump_failures else None

@@ -83,12 +83,13 @@ def build_document(summary: LevelSummary, slices: list[DiagramSlice],
                            spacing=spacing)
 
 
-def _beta_json(b: float):
-    if np.isnan(b):
+def _level_json(v: float):
+    """A level as JSON: null when NaN (beta undefined, or a NaN lam), "inf", or the float."""
+    if np.isnan(v):
         return None
-    if np.isinf(b):
+    if np.isinf(v):
         return "inf"
-    return float(b)
+    return float(v)
 
 
 def export_diagram_json(doc: DiagramDocument) -> bytes:
@@ -106,15 +107,14 @@ def export_diagram_json(doc: DiagramDocument) -> bytes:
         p = {"index": int(idx)}
         if doc.coords is not None:
             p["coords"] = [float(c) for c in doc.coords[idx]]
-        lam = float(doc.lam[row])
-        p["lambda"] = "inf" if np.isinf(lam) else lam
-        p["beta"] = _beta_json(doc.beta[row])
+        p["lambda"] = _level_json(doc.lam[row])
+        p["beta"] = _level_json(doc.beta[row])
         points.append(p)
     payload = {"schema_version": SCHEMA_VERSION,
                "system": doc.system,
                "slices": slices,
                "points": points}
-    return (json.dumps(payload, indent=2) + "\n").encode()
+    return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------

@@ -96,23 +96,31 @@ def summarize(matrix: LevelMatrix, zero_tol: float) -> LevelSummary:
                         zero_tol=float(zero_tol), targets=matrix.targets.copy())
 
 
-def diagonal_levels(D, M: np.ndarray, start: int = 0) -> np.ndarray:
+def diagonal_levels(D, M, start: int = 0) -> np.ndarray:
     """lam[j] = min over z of max(D[start + j, z], M[z, j]): the product's diagonal
     over the columns ``start..start + M.shape[1]``.
 
     D is read in bands of ``links.CELL_ROWS`` rows, as the product reads it
-    (an ``EntryCostRows`` view computes only those).  Min and max select among
-    the same floats as ``bottleneck_product``, so each entry is its diagonal
-    entry bit for bit, NaN included.
+    (an ``EntryCostRows`` view computes only those).  An array M gives each
+    band's lam in one min over every sample; a ``links.ThinnedExitMin`` gives
+    it as the diagonal of the product of the band's rows with its own
+    columns, which computes the exit minima of the samples that product
+    visits only.  Min and max select among the same floats as
+    ``bottleneck_product``, so each entry is its diagonal entry bit for bit,
+    NaN included.
     """
     lam = np.empty(M.shape[1])
     for a in range(0, len(lam), links.CELL_ROWS):
         b = min(a + links.CELL_ROWS, len(lam))
-        lam[a:b] = np.maximum(D[start + a:start + b], M[:, a:b].T).min(axis=1)
+        if isinstance(M, np.ndarray):
+            lam[a:b] = np.maximum(D[start + a:start + b], M[:, a:b].T).min(axis=1)
+        else:
+            lam[a:b] = np.diagonal(links.bottleneck_product(D[start + a:start + b],
+                                                            M.columns(slice(a, b))))
     return lam
 
 
-def strip_robustness(D: links.EntryCostRows, M: np.ndarray, gated: np.ndarray,
+def strip_robustness(D: links.EntryCostRows, M, gated: np.ndarray,
                      threads: int = 1) -> np.ndarray:
     """beta of the gated targets from the rows L[G, :] and the block L[Gᶜ, G].
 
@@ -121,7 +129,9 @@ def strip_robustness(D: links.EntryCostRows, M: np.ndarray, gated: np.ndarray,
     costs with M; they hold the G part of every gated column too.  So only
     the block L[Gᶜ, G] is computed beside them, by ``_strip_beta``.  Every
     entry is the product's own float, so beta is that of the whole product
-    bit for bit.  Returns beta over all targets, NaN outside the gate.
+    bit for bit.  M is an array or an exit-minimum view
+    (``links.exit_min_view``).  Returns beta over all targets, NaN outside
+    the gate.
     """
     g = np.flatnonzero(gated)
     if len(g) == 0:
@@ -130,15 +140,16 @@ def strip_robustness(D: links.EntryCostRows, M: np.ndarray, gated: np.ndarray,
     return _strip_beta(D, rows, M, g, gated, threads)
 
 
-def _strip_beta(D: links.EntryCostRows, rows: np.ndarray, M: np.ndarray, at: np.ndarray,
+def _strip_beta(D: links.EntryCostRows, rows: np.ndarray, M, at: np.ndarray,
                 gated: np.ndarray, threads: int) -> np.ndarray:
     """beta from the gated rows L[G, :] and the gated exit-min columns M[:, at].
 
-    ``at[k]`` is the column of M that belongs to the k-th gated target.  The
-    block L[Gᶜ, G] is computed ``STRIP_COLS`` gated columns at a time, and
-    each chunk's returns L[:, c] are reduced at once: |G| m + |Gᶜ| |G|
-    entries in all, and no (m, m) or (m, |G|) array.
+    ``at[k]`` is the column of M (an array or a view) that belongs to the
+    k-th gated target.  The block L[Gᶜ, G] is computed ``STRIP_COLS`` gated
+    columns at a time, and each chunk's returns L[:, c] are reduced at once:
+    |G| m + |Gᶜ| |G| entries in all, and no (m, m) or (m, |G|) array.
     """
+    M = links.exit_min_view(M)
     beta = np.full(len(gated), np.nan)
     g, rest = np.flatnonzero(gated), np.flatnonzero(~gated)
     D_rest = links.EntryCostRows(D.system, D.cols[rest])
@@ -147,7 +158,7 @@ def _strip_beta(D: links.EntryCostRows, rows: np.ndarray, M: np.ndarray, at: np.
         returns = np.empty((len(c), len(gated)))       # L[:, c].T
         returns[:, g] = rows[:, c].T
         if len(rest):
-            returns[:, rest] = links.bottleneck_product(D_rest, M[:, at[a:a + STRIP_COLS]],
+            returns[:, rest] = links.bottleneck_product(D_rest, M.columns(at[a:a + STRIP_COLS]),
                                                         threads).T
         beta[c] = _excursions(rows[a:a + STRIP_COLS], returns)
     return beta
@@ -166,8 +177,15 @@ def level_summary(system: MapSystem, zero_tol: float, threads: int = 1,
     order, D is an ``EntryCostRows`` view and the results are put back in
     sample order.
 
-    The exit minima M are computed once, one band of max(``links.BAND_COLS``,
-    K) target columns at a time, K being the exit-window length.  Before any
+    A sampled system on the line whose exit window is shorter than the band
+    below (``links.sorted_window``) computes exit minima only where the
+    products read them: each window's exit points are sorted and thinned once
+    (``links.thinned_exit_min``), lam comes from the diagonal cells, then the
+    gate, the rows and the block, with no (n, band) array.
+
+    Otherwise the exit minima M are computed once, one band of
+    max(``links.BAND_COLS``, K) target columns at a time, K being the
+    exit-window length.  Before any
     of them, ``links.pre_gate`` marks a superset G⁺ of the gate from each
     target's tau-neighbourhood: |P| K exit costs for the pairs P = {D <= tau}.
     Each band then gives its lam, the rows L[G⁺, band] and its gated columns
@@ -181,11 +199,11 @@ def level_summary(system: MapSystem, zero_tol: float, threads: int = 1,
     pre-gate stops as soon as it has marked that many.
 
     With ``horizon_check``, returns the pair (summary, summary at the reduced
-    horizon, ``links.reduced_horizon``) from the same exit minima: each band
-    (or the whole M) takes the minima over the reduced window first and is
-    then lowered in place over the rest of the exit window
-    (``links.exit_min_bands``).  Maps and flows take the same path, and the
-    check holds no more (n, m) arrays than the pass without it.
+    horizon, ``links.reduced_horizon``): thinned stores are built for each
+    window, and otherwise each band (or the whole M) takes the minima over
+    the reduced window first and is then lowered in place over the rest of
+    the exit window (``links.exit_min_bands``).  Maps and flows take the same
+    paths, and the check holds no more (n, m) arrays than the pass without it.
     """
     tg, perm = links.priced_targets(system, None, horizon_check)
     cols = tg[perm]
@@ -202,9 +220,14 @@ def level_summary(system: MapSystem, zero_tol: float, threads: int = 1,
     # the banded pass holds rows and columns of G⁺ for every window at once;
     # past ``most`` targets they would hold as many floats as M
     most = (system.n * m - 1) // (len(windows) * (m + system.n))
-    plus = links.pre_gate(system, cols, zero_tol, most) if width < m else None
+    plus = None
+    if links.sorted_window(system, min(width, m)):
+        views = links.thinned_exit_min(system, cols, horizon_check)
+    else:
+        plus = links.pre_gate(system, cols, zero_tol, most) if width < m else None
+        views = (M for _, _, M in links.exit_min_bands(system, cols, m, horizon_check))
     if plus is None:
-        for _, _, M in links.exit_min_bands(system, cols, m, horizon_check):
+        for M in views:
             lam = diagonal_levels(D, M)
             out.append(summary(lam, strip_robustness(D, M, lam <= zero_tol, threads)))
         return (out[1], out[0]) if horizon_check else out[0]

@@ -36,7 +36,7 @@ CELL_COLS = 32       # target columns per product cell
 BATCH = 64           # entry samples a cell visits per numpy call
 WINDOW = 128         # bound-ordered samples a cell filters per numpy call, after its first batch
 BAND_COLS = 256      # target columns per band of exit minima (filtration.level_summary, the gather)
-BLOCK_CELLS = 1 << 15   # (sample, target) entries per block of the gather and the sorted 1-D kernel
+BLOCK_CELLS = 1 << 15   # entries per block of the gather, the sorted 1-D kernel and its cell bounds
 PAIR_COSTS = 1 << 16    # exit costs per block of pre_gate
 
 
@@ -192,9 +192,10 @@ def exit_min_matrix(system: MapSystem, cols: np.ndarray) -> np.ndarray:
     """M[z, j] = min over the exit window of cost(f^n(z), cols[j]) for every sample z.
 
     The one band of ``exit_min_bands`` that covers every target: (n, m).
-    ``filtration.level_summary`` does not hold it; after ``pre_gate`` it
-    takes ``exit_min_bands`` one band of max(``BAND_COLS``, K) targets at a
-    time.
+    ``filtration.level_summary`` does not hold it: on the line it computes
+    exit minima on demand (``thinned_exit_min``), otherwise after
+    ``pre_gate`` it takes ``exit_min_bands`` one band of
+    max(``BAND_COLS``, K) targets at a time.
     """
     for _, _, M in exit_min_bands(system, cols, len(cols)):
         pass
@@ -269,10 +270,115 @@ def nearest_sorted_costs(sp: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.n
     return out
 
 
-def _sorted_store(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of 1-D points sorted and padded with its own ends, and which rows hold a NaN."""
+def _sorted_store(points: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The thinned store of 1-D exit points for ``nearest_sorted_costs``, and which rows hold a NaN.
+
+    Each row is sorted.  A target's neighbours there are the last point below
+    it and the first point at or above it, so of each run of points that
+    searchsorted puts between the same two sorted ``targets`` only the first
+    and the last are kept, both even when they are equal floats.  The kept
+    points are padded with the row's first point before them and its last
+    point after them, to the longest row's count plus two.  A run between two
+    targets of a subset is a union of runs between targets of the whole set,
+    so the store serves every subset of ``targets``.
+    """
     s = np.sort(points, axis=1)
-    return np.concatenate((s[:, :1], s, s[:, -1:]), axis=1), np.isnan(s[:, -1])   # NaN sorts last
+    seg = np.searchsorted(np.sort(targets), s, side="right")
+    keep = np.ones(s.shape, dtype=bool)
+    keep[:, 1:-1] = (seg[:, 1:-1] != seg[:, :-2]) | (seg[:, 1:-1] != seg[:, 2:])
+    count = np.count_nonzero(keep, axis=1)
+    rows, ks = np.nonzero(keep)
+    sp = np.repeat(s[:, -1:], count.max() + 2, axis=1)
+    sp[:, 0] = s[:, 0]
+    sp[rows, np.arange(1, len(rows) + 1) - np.repeat(np.cumsum(count) - count, count)] = s[rows, ks]
+    return sp, np.isnan(s[:, -1])     # NaN sorts last
+
+
+def sorted_window(system: MapSystem, width: int) -> bool:
+    """Whether exit minima to ``width`` targets at a time come from the sorted store:
+    a sampled system on the line whose exit window is shorter than ``width``."""
+    return (not system.is_tabulated and system.space.coords.shape[1] == 1
+            and system.horizon - system.first_step + 1 < width)
+
+
+@dataclass(frozen=True)
+class ExitMinArray:
+    """Exit minima held whole, (n, targets), as ``bottleneck_product`` reads them:
+    ``shape``, ``columns``, ``cell_bounds`` and ``block``, like ``ThinnedExitMin``."""
+
+    M: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.M.shape
+
+    def columns(self, at) -> "ExitMinArray":
+        """The minima to the targets ``at`` (positions in this view)."""
+        return ExitMinArray(self.M[:, at])
+
+    def cell_bounds(self, starts: np.ndarray) -> np.ndarray:
+        """(n, cells): a lower bound of z's exit minima in each cell (cells begin
+        at ``starts``), NaN where one of them is NaN.  Here their least."""
+        return np.minimum.reduceat(self.M, starts, axis=1)
+
+    def block(self, zs: np.ndarray, a: int) -> np.ndarray:
+        """M[zs, a:a + CELL_COLS], exactly."""
+        return self.M[zs, a:a + CELL_COLS]
+
+
+@dataclass(frozen=True)
+class ThinnedExitMin:
+    """Exit minima to the 1-D targets ``t`` computed on demand from a thinned store
+    (``_sorted_store``): a ``block`` runs ``nearest_sorted_costs`` on its rows
+    only, and a cell bound is the distance from the cell's target interval to
+    the kept points.  Rows with a NaN exit point are NaN throughout."""
+
+    store: np.ndarray       # (n, W + 2) sorted, thinned and padded
+    nan: np.ndarray         # (n,) rows with a NaN exit point
+    t: np.ndarray           # (targets,) target coordinates
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.store), len(self.t)
+
+    def columns(self, at) -> "ThinnedExitMin":
+        return ThinnedExitMin(self.store, self.nan, self.t[at])
+
+    def cell_bounds(self, starts: np.ndarray) -> np.ndarray:
+        """Each exit minimum is |t - x| for a kept point x, and for t in [lo, hi]
+        the rounded gap max(lo - x, x - hi, 0) is at most that float.  An
+        infinite point at an infinite end of the interval gives NaN, as its
+        exit minimum is, and so does a NaN row's last point."""
+        lo, hi = np.minimum.reduceat(self.t, starts), np.maximum.reduceat(self.t, starts)
+        out = np.empty((len(self.store), len(starts)))
+        rows = max(1, BLOCK_CELLS // (self.store.shape[1] * len(starts)))
+        with np.errstate(invalid="ignore"):
+            for a in range(0, len(out), rows):
+                x = self.store[a:a + rows, :, None]
+                out[a:a + rows] = np.maximum(np.maximum(lo - x, x - hi), 0.0).min(axis=1)
+        return out
+
+    def block(self, zs: np.ndarray, a: int) -> np.ndarray:
+        t = self.t[a:a + CELL_COLS]
+        out = nearest_sorted_costs(self.store[zs], t, np.full((len(zs), len(t)), np.inf))
+        out[self.nan[zs]] = np.nan
+        return out
+
+
+def exit_min_view(M) -> ExitMinArray | ThinnedExitMin:
+    """M as an exit-minimum view; an array is wrapped in ``ExitMinArray``."""
+    return ExitMinArray(M) if isinstance(M, np.ndarray) else M
+
+
+def thinned_exit_min(system: MapSystem, cols: np.ndarray, horizon_check: bool = False):
+    """Yield a ``ThinnedExitMin`` to the targets ``cols`` for each window: with
+    ``horizon_check`` first the steps up to ``reduced_horizon``, then the whole
+    exit window.  Each window's store is sorted on its own; its minima are
+    those of ``exit_min_bands`` bit for bit, as both take the least of the same
+    exit costs and keep a NaN."""
+    k0, t = system.first_step - 1, system.space.coords[cols, 0]
+    for k1 in [reduced_horizon(system)] * horizon_check + [system.horizon]:
+        yield ThinnedExitMin(*_sorted_store(system.orbit_coords[:, k0:k1, 0], t), t)
 
 
 def exit_min_bands(system: MapSystem, cols: np.ndarray, width: int,
@@ -303,10 +409,9 @@ def exit_min_bands(system: MapSystem, cols: np.ndarray, width: int,
     windows = list(zip(steps, steps[1:]))
     coords = system.space.coords
     width = max(1, width)
-    sort = (not system.is_tabulated and coords.shape[1] == 1
-            and system.horizon - steps[0] < width)
-    stores = [_sorted_store(system.orbit_coords[:, k0:k1, 0]) if sort and k0 < k1 else None
-              for k0, k1 in windows]
+    sort = sorted_window(system, width)
+    stores = [_sorted_store(system.orbit_coords[:, k0:k1, 0], coords[cols, 0])
+              if sort and k0 < k1 else None for k0, k1 in windows]
     m_buf = np.empty(system.n * min(width, len(cols)))    # every band's M
     for a in range(0, max(1, len(cols)), width):
         band = slice(a, a + width)
@@ -470,22 +575,26 @@ def cell_order(coords: np.ndarray | None, tg: np.ndarray) -> np.ndarray:
     return perm
 
 
-def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1) -> np.ndarray:
+def bottleneck_product(D: np.ndarray, M, threads: int = 1) -> np.ndarray:
     """L[i, j] = min over z of max(D[i, z], M[z, j]), the (min, max) matrix product.
 
     D is read only as ``D.shape`` and ``D[rows]``, once per band of rows, so it
     may be an ``EntryCostRows`` view that computes each band's rows on demand.
+    M is read only through an exit-minimum view (``exit_min_view``; an array
+    is wrapped): its shape, one (n, cells) array of per-cell lower bounds, and
+    the blocks M[zs, cell] of the samples zs a cell looks at, so a
+    ``ThinnedExitMin`` computes no other exit minima.
     The output goes in cells of ``CELL_ROWS`` x ``CELL_COLS``.  Every candidate
     max(D[i, z], M[z, j]) of a cell is at least z's bound: the larger of the
-    least entry cost D[i, z] over the cell's rows and the least exit cost
-    M[z, j] over its columns.  A cell visits z in ascending bound.  A z with a
+    least entry cost D[i, z] over the cell's rows and z's lower bound on the
+    exit costs M[z, j] over its columns.  A cell visits z in ascending bound.  A z with a
     NaN among the cell's entry or exit costs gets the bound -inf; the cell
     visits these, and its first ``BATCH`` samples, whole.  After that, an
     entry is live unless it is NaN, which np.minimum keeps.  The cell stops
     once the next bound reaches its largest live entry.  Otherwise it takes
     the next ``WINDOW`` samples, cut at the first bound that reaches that
-    maximum, and keeps a z only if some row i has max(D[i, z], least exit
-    cost of z) below row i's largest live entry and some column j has
+    maximum, and keeps a z only if some row i has max(D[i, z], exit bound
+    of z) below row i's largest live entry and some column j has
     max(M[z, j], least entry cost of z) below column j's.  Both are lower bounds of z's candidates in that row or
     column, and NaN entries count as -inf in the maxima, so a skipped z has
     every candidate at or above each live entry it would have to beat; a NaN
@@ -498,11 +607,12 @@ def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1) -> np.nda
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    M = exit_min_view(M)
     m, n = D.shape
     cols = M.shape[1]
     out = np.empty((m, cols))
     starts = np.arange(0, cols, CELL_COLS)
-    exit_bound = np.minimum.reduceat(M, starts, axis=1)               # (n, cells)
+    exit_bound = M.cell_bounds(starts)                                # (n, cells)
     bands = [slice(i, min(i + CELL_ROWS, m)) for i in range(0, m, CELL_ROWS)]
 
     def fill(rows: slice) -> None:
@@ -510,7 +620,6 @@ def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1) -> np.nda
         entry = DT.min(axis=1)
         buf = np.empty((max(BATCH, WINDOW), DT.shape[1], CELL_COLS))
         for b, a in enumerate(starts):
-            Mc = M[:, a:a + CELL_COLS]
             acc = out[rows, a:a + CELL_COLS]
             acc.fill(np.inf)
             bound = np.maximum(entry, exit_bound[:, b])
@@ -527,17 +636,19 @@ def bottleneck_product(D: np.ndarray, M: np.ndarray, threads: int = 1) -> np.nda
                         break
                 if i == 0 or first == -np.inf:
                     zs, i = order[i:i + BATCH], i + BATCH
+                    Mz = M.block(zs, a)
                 else:
                     stop = i + int(np.searchsorted(sorted_bound[i:i + WINDOW], top))
                     zs, i = order[i:stop], stop
                     # z can lower a live entry only if both of its bounds beat it
-                    keep = ((np.maximum(DT[zs], exit_bound[zs, b, None])
-                             < np.fmax.reduce(acc, axis=1, initial=-np.inf)).any(axis=1)
-                            & (np.maximum(Mc[zs], entry[zs, None])
-                               < np.fmax.reduce(acc, axis=0, initial=-np.inf)).any(axis=1))
-                    zs = zs[keep]
-                cand = np.maximum(DT[zs, :, None], Mc[zs, None, :],
-                                  out=buf[:len(zs), :, :Mc.shape[1]])
+                    zs = zs[(np.maximum(DT[zs], exit_bound[zs, b, None])
+                             < np.fmax.reduce(acc, axis=1, initial=-np.inf)).any(axis=1)]
+                    Mz = M.block(zs, a)
+                    keep = (np.maximum(Mz, entry[zs, None])
+                            < np.fmax.reduce(acc, axis=0, initial=-np.inf)).any(axis=1)
+                    zs, Mz = zs[keep], Mz[keep]
+                cand = np.maximum(DT[zs, :, None], Mz[:, None, :],
+                                  out=buf[:len(zs), :, :Mz.shape[1]])
                 np.minimum(acc, cand.min(axis=0, initial=np.inf), out=acc)
 
     workers = min(threads, len(bands))
@@ -560,8 +671,8 @@ def priced_targets(system: MapSystem, targets: Iterable[int] | None = None,
     the exit minima, (m, n) each, a second set of exit minima with
     ``horizon_check``, and the (m, m) levels: 8 * m * ((3 or 2) * n + m) bytes.
     The price is conservative: D is computed by row band, and
-    ``level_summary`` holds one band of exit minima (all of them when one
-    band covers every target) and no (m, m) levels.
+    ``level_summary`` holds one band of exit minima (none on the line, all of
+    them when one band covers every target) and no (m, m) levels.
     """
     n = system.n
     if n == 0:

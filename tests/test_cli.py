@@ -16,6 +16,13 @@ from nwfilt.links import horizon_stability, level_matrix
 from nwfilt.specfile import build_from_spec, load_system
 
 
+def strict_json(text):
+    """JSON as the standard reads it: Infinity, -Infinity and NaN are rejected."""
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def write_spec(tmp_path, name, payload):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
@@ -225,7 +232,8 @@ class TestAnalyze:
     def test_gated_analyze_builds_no_level_matrix(self, tmp_path, capsys, monkeypatch):
         """analyze reads lam and beta off the product's diagonal, the gated rows
         and the complement block by column chunk: no (m, m) product without
-        --matrix-out, one with it."""
+        --matrix-out, one with it.  On f2 lam comes from the products of the
+        diagonal cells, one square block of at most CELL_ROWS targets each."""
         shapes = []
         product = links.bottleneck_product
 
@@ -240,7 +248,10 @@ class TestAnalyze:
             shapes.clear()
             assert main(["analyze", spec]) == 0
             gated = capsys.readouterr().out
-            assert len(shapes) == 4 and (n, n) not in shapes     # rows and one chunk per horizon
+            diagonal = [s for s in shapes if s[0] == s[1] <= links.CELL_ROWS]
+            assert len(diagonal) == (2 * -(-n // links.CELL_ROWS) if "f2" in spec else 0)
+            # rows and one chunk per horizon
+            assert len(shapes) - len(diagonal) == 4 and (n, n) not in shapes
             shapes.clear()
             assert main(["analyze", spec, "--matrix-out", str(tmp_path / "m.csv")]) == 0
             assert capsys.readouterr().out == gated
@@ -556,6 +567,23 @@ class TestDetect:
         captured = capsys.readouterr()
         assert captured.out == "" and "--min-gap" in captured.err
 
+    def test_infinite_min_gap_writes_standard_json(self, tmp_path, capsys):
+        """--min-gap inf reports only the pairs that never return; the --out file
+        writes that gap and the minimum gap as "inf", with no certificate (f2,
+        exit 1) and with one (a two-point table with an infinite cost)."""
+        oneway = write_spec(tmp_path, "oneway.json", {
+            "kind": "map", "source": {"table": {"cost": [[0.0, 1.0], ["inf", 0.0]],
+                                                "map": [0, 1]}}})
+        out = tmp_path / "certs.json"
+        for spec, code, certs in ((f2_spec(tmp_path, h=0.1), 1, []),
+                                  (oneway, 0, [{"x": 0, "z": 1, "eps": 1.0, "gap": "inf"}])):
+            assert main(["detect", spec, "--min-gap", "inf", "--out", str(out)]) == code
+            payload = strict_json(out.read_text())
+            assert payload["min_gap"] == "inf"
+            assert [{k: c[k] for k in ("x", "z", "eps", "gap")}
+                    for c in payload["certificates"]] == certs
+            assert capsys.readouterr().out.count("\n") == 1 + len(certs)
+
     def test_semiflow_rejected(self, tmp_path):
         spec = write_spec(tmp_path, "fz.json", {
             "kind": "semiflow", "source": {"builtin": "flow_Z"},
@@ -700,6 +728,11 @@ class TestVerify:
 
     def test_zero_seeds_rejected(self):
         assert main(["verify", "--seeds", "0"]) == 2
+
+    def test_negative_seed_start_rejected_before_any_work(self, capsys):
+        assert main(["verify", "--seeds", "1", "--seed-start", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--seed-start" in captured.err
 
     def test_max_size_bounds_enforced(self):
         assert main(["verify", "--seeds", "1", "--max-size", "99"]) == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nwfilt.builtins import build_grid_system, counterexample_tail
-from nwfilt.core import Branch, ExtendedLevel, neg_level, pos_level
+from nwfilt.core import Branch, ExtendedLevel, build_sampled_system, neg_level, pos_level
 from nwfilt.export import (build_document, export_diagram_json, export_levels_csv,
                            level_token, render_svg)
 from nwfilt.filtration import DiagramSlice, diagram, summarize
@@ -116,6 +116,25 @@ class TestJson:
                 got = [p["lambda"], p["beta"], *p["coords"]]
                 want = [token(v) for v in [lam, beta, *doc.coords[p["index"]]]]
                 assert list(map(bits, got)) == list(map(bits, want))
+
+    def test_nan_lambda_is_null(self):
+        """On nan_orbit at horizon 3 every level is NaN: lambda is written as
+        null, as an undefined beta is, and the document is standard JSON."""
+        sys = build_sampled_system(
+            lambda x: np.where(np.abs(x + 0.7) < 1e-6, -0.68,
+                               np.where(np.abs(x + 0.68) < 1e-6, np.nan, -x)),
+            box=[[-1, 1]], spacing=0.1, horizon=3)
+        summ = summarize(level_matrix(sys), zero_tol=0.2)
+        assert np.isnan(summ.lam).all()
+        doc = build_document(summ, diagram(summ, [neg_level(0.0), pos_level(0.5)]),
+                             {"name": "nan_orbit", "kind": "map", "h": 0.1},
+                             sys.space.coords, sys.spacing)
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON constant {token}")
+
+        payload = json.loads(export_diagram_json(doc), parse_constant=reject)
+        assert [(p["lambda"], p["beta"]) for p in payload["points"]] == [(None, None)] * sys.n
 
     def test_schema_fields(self, small_f2):
         sys, summ = small_f2

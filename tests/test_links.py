@@ -108,10 +108,12 @@ SMALL_CELLS = [(1, 1, 1, 1), (3, 5, 2, 3), (16, 12, 8, 5)]
 ONE_ENTRY_MAX = 20_000
 
 
-def assert_product_matches(monkeypatch, D, M, want=None):
+def assert_product_matches(monkeypatch, D, M, want=None, view=None):
     """The product equals the full scan bit for bit: with small cells, and with
-    the default cells at threads 1, 2 and 3."""
+    the default cells at threads 1, 2 and 3.  The product reads M through
+    ``view`` when one is given."""
     want = brute_product(D, M).tobytes() if want is None else want
+    M = M if view is None else view
     for rows, cols, batch, window in SMALL_CELLS:
         if rows * cols == 1 and D.shape[0] * M.shape[1] > ONE_ENTRY_MAX:
             continue
@@ -1126,12 +1128,89 @@ class TestLevelSummary:
                 assert_same_levels(got, want)
                 assert_same_levels(got_half, want_half)
 
+    # one-entry cells run a Python loop per entry: they skip the 134-sample
+    # builtins (the NaN orbits and the windowed f2 take the 1-D pass) and run
+    # at one thread
+    @pytest.mark.parametrize("case, cells", [
+        (case, cells) for cells in (1, 31, 32, 33, 64) for case in sorted(GATED_CASES)
+        if cells > 1 or case not in builtin_names()])
+    def test_any_cell_width(self, case, cells, monkeypatch):
+        """Product cells of 1, 31, 32, 33 and 64 targets a side, so the 1-D
+        pass's diagonal cells cut lam differently: gates from none to every
+        sample, 1 to 3 threads, with and without the horizon check; the floats
+        of the whole matrices' summaries at the default cells, as int64 views."""
+        build, gates = GATED_CASES[case]
+        system = build()
+        full, half = level_matrix(system), level_matrix(half_horizon(system))
+        monkeypatch.setattr(links, "CELL_ROWS", cells)
+        monkeypatch.setattr(links, "CELL_COLS", cells)
+        for zero_tol in (-np.inf, *gates, np.inf):
+            want, want_half = summarize(full, zero_tol), summarize(half, zero_tol)
+            for threads in (1,) if cells == 1 else (1, 2, 3):
+                assert_same_levels(level_summary(system, zero_tol, threads), want)
+                got, got_half = level_summary(system, zero_tol, threads, horizon_check=True)
+                assert_same_levels(got, want)
+                assert_same_levels(got_half, want_half)
+
     def test_empty_and_full_gate(self):
         ident = build_grid_system("identity", box=[[-1, 1]], spacing=0.1, horizon=3)
         assert np.all(level_summary(ident, 0.0).beta == np.inf)       # every sample gated
         cost = np.ones((3, 3)) - np.eye(3)
         cycle = build_tabulated_system([1, 2, 0], horizon=2, cost_matrix=cost)
         assert np.all(np.isnan(level_summary(cycle, 0.0).beta))       # none gated
+
+
+def sorted_kernel(points, t):
+    """The sorted 1-D kernel on whole windows: each row of ``points`` sorted and
+    padded with its own ends, ``nearest_sorted_costs`` to the targets ``t``,
+    and the rows with a NaN point NaN."""
+    s = np.sort(points, axis=1)
+    out = links.nearest_sorted_costs(np.concatenate((s[:, :1], s, s[:, -1:]), axis=1), t,
+                                     np.full((len(s), len(t)), np.inf))
+    out[np.isnan(s[:, -1])] = np.nan
+    return out
+
+
+def thinned_reference(points, targets):
+    """Each row sorted; of each run of points that searchsorted puts between the
+    same two sorted targets, its first and its last point (one point for a
+    run of one); padded before with the row's first point and after with its
+    last, to the longest row's count plus two."""
+    ts = np.sort(targets)
+    rows = []
+    for s in np.sort(points, axis=1):
+        seg = np.searchsorted(ts, s, side="right")
+        rows.append([x for k, x in enumerate(s)
+                     if k in (0, len(s) - 1) or seg[k - 1] != seg[k] or seg[k] != seg[k + 1]])
+    width = max(map(len, rows)) + 2
+    return np.array([[r[0], *r, *[r[-1]] * (width - 1 - len(r))] for r in rows])
+
+
+def dense(view):
+    """Every exit minimum of a view, block by block."""
+    zs = np.arange(view.shape[0])
+    return np.concatenate([view.block(zs, a) for a in range(0, view.shape[1], links.CELL_COLS)],
+                          axis=1)
+
+
+def assert_view_is_the_kernel(view, points, t):
+    """The view's blocks are the sorted kernel's floats, as int64 views, and each
+    cell bound is at most every exit minimum of its cell, NaN exactly where
+    one of them is."""
+    want = sorted_kernel(points, t)
+    assert np.array_equal(dense(view).view(np.int64), want.view(np.int64))
+    starts = np.arange(0, len(t), links.CELL_COLS)
+    bounds = view.cell_bounds(starts)
+    for c, a in enumerate(starts):
+        cell = want[:, a:a + links.CELL_COLS]
+        nan = np.isnan(cell).any(axis=1)
+        assert np.array_equal(np.isnan(bounds[:, c]), nan)
+        assert (bounds[~nan, c] <= cell[~nan].min(axis=1)).all()
+
+
+# GATED_CASES whose exit windows are on the line and sampled: the 1-D pass thins them
+THINNED_CASES = sorted([name for name in builtin_names() if builtin(name).kind != "table"]
+                       + [f"nan_orbit_h{h}" for h in range(1, 7)] + ["window_2_4", "window_3_4"])
 
 
 class TestLoweredExitMin:
@@ -1158,6 +1237,75 @@ class TestLoweredExitMin:
             cols = np.arange(system.n)
             half, full = lowered_exit_min(system, cols)
             assert half.tobytes() == full.tobytes() == exit_min_matrix(system, cols).tobytes()
+
+    @pytest.mark.parametrize("case", THINNED_CASES)
+    def test_thinned_store_equals_the_sorted_kernel(self, case):
+        """Each window's thinned store (both ends of every run, even equal
+        floats) gives the sorted kernel's exit minima, to every target, to a
+        subset and to a random half in any order, and to column subsets of
+        its view; bit for bit, NaN rows included."""
+        system = GATED_CASES[case][0]()
+        assert links.sorted_window(system, system.n)
+        rng = np.random.default_rng(system.n)
+        k0 = system.first_step - 1
+        for cols in (np.arange(system.n), np.arange(system.n)[::-3],
+                     rng.permutation(system.n)[:system.n // 2]):
+            t = system.space.coords[cols, 0]
+            views = links.thinned_exit_min(system, cols, horizon_check=True)
+            for view, k1 in zip(views, (links.reduced_horizon(system), system.horizon)):
+                points = system.orbit_coords[:, k0:k1, 0]
+                assert np.array_equal(view.store.view(np.int64),
+                                      thinned_reference(points, t).view(np.int64))
+                assert_view_is_the_kernel(view, points, t)
+                sub = rng.permutation(len(cols))[:len(cols) // 3 + 1]
+                assert_view_is_the_kernel(view.columns(sub), points, t[sub])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("horizon", [1, 2, 9, 40])
+    def test_random_windows_with_special_floats(self, monkeypatch, horizon):
+        """Windows with signed zeros, infinities, NaN, repeated floats and points
+        equal to targets: the thinned store, built for all targets or for a
+        subset in any order, gives the sorted kernel's floats, and the product
+        read through it is the full scan of those floats."""
+        rng = np.random.default_rng(horizon)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0])
+        for trial in range(30):
+            points = rng.uniform(-2.0, 2.0, (23, horizon)).round(1)
+            points[rng.random(points.shape) < 0.3] = rng.choice(special)
+            if trial % 3 == 0:
+                points[rng.integers(0, 23), rng.integers(0, horizon)] = np.nan
+            t = np.concatenate([rng.uniform(-3.0, 3.0, 20).round(1), special,
+                                rng.choice(points[~np.isnan(points)], 5)])
+            t = t[rng.permutation(len(t))]
+            sub = rng.permutation(len(t))[:rng.integers(1, len(t) + 1)]
+            whole = links.ThinnedExitMin(*links._sorted_store(points, t), t)
+            assert_view_is_the_kernel(whole, points, t)
+            assert_view_is_the_kernel(whole.columns(sub), points, t[sub])
+            own = links.ThinnedExitMin(*links._sorted_store(points, t[sub]), t[sub])
+            assert_view_is_the_kernel(own, points, t[sub])
+            if trial % 5 == 0:
+                D = rng.uniform(0.0, 3.0, (len(sub), 23)).round(1)
+                D[rng.random(D.shape) < 0.1] = np.inf
+                assert_product_matches(monkeypatch, D, sorted_kernel(points, t[sub]), view=own)
+
+    def test_exit_minima_computed_on_demand(self, monkeypatch):
+        """f2 at h = 0.002 (n = 5001) takes the 1-D pass: no band of exit minima,
+        and the products compute a small share of the n x n exit minima."""
+        system = build_grid_system("f2", box=[[-5, 5]], spacing=0.002, horizon=64)
+        computed = []
+        block = links.ThinnedExitMin.block
+
+        def counting(view, zs, a):
+            out = block(view, zs, a)
+            computed.append(out.size)
+            return out
+
+        monkeypatch.setattr(links.ThinnedExitMin, "block", counting)
+        monkeypatch.setattr(links, "exit_min_bands", None)
+        monkeypatch.setattr(links, "pre_gate", None)
+        level_summary(system, 0.004)
+        n = system.n
+        assert n == 5001 and 0 < sum(computed) < n * n // 25
 
 
 def has_nan_iterates(system):
@@ -1207,10 +1355,11 @@ class TestPreGate:
         assert missed == {"nan_orbit_h2", "nan_orbit_h3"}
 
     def test_the_banded_pass_checks_it(self, monkeypatch):
-        """A gated sample outside the pre-gate stops the banded pass."""
+        """A gated sample outside the pre-gate stops the banded pass (f2's
+        16-step window is not shorter than a band of 16, so it is not thinned)."""
         system = small_builtin("f2")
         assert np.count_nonzero(level_summary(system, 0.06).lam <= 0.06) > 0
-        monkeypatch.setattr(links, "BAND_COLS", 32)
+        monkeypatch.setattr(links, "BAND_COLS", 16)
         monkeypatch.setattr(links, "pre_gate",
                             lambda s, cols, tau, most: np.zeros(len(cols), bool))
         with pytest.raises(AssertionError, match="pre-gate"):
@@ -1252,8 +1401,5 @@ class TestExitMinBands:
                                 rng.choice(cand.ravel(), 5)])
             t = t[rng.permutation(len(t))]
             want = nearest_exit_costs(cand, t[:, None])
-            s = np.sort(cand[:, :, 0], axis=1)
-            got = links.nearest_sorted_costs(np.concatenate((s[:, :1], s, s[:, -1:]), axis=1),
-                                             t, np.full((23, len(t)), np.inf))
-            got[np.isnan(s[:, -1])] = np.nan
+            got = sorted_kernel(cand[:, :, 0], t)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
