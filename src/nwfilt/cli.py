@@ -106,20 +106,17 @@ def cmd_analyze(args) -> int:
     loaded = load_system(args.spec)
     system, is_map = loaded.system, loaded.kind == "map"
     check = system.n <= HORIZON_CHECK_CAP
-    pairs = bool(args.matrix_out) and check and is_map   # the check counts changed pairs
+    # With a matrix the check compares its pairs (horizon_report).
+    # Otherwise it runs the summary's pass on the reduced window's exit
+    # minima, then on the same array lowered over the rest of the window.
     if args.matrix_out:
         matrix = level_matrix(system, threads=args.threads)
         header = ",".join(str(int(t)) for t in matrix.targets)
         rows = "\n".join(",".join(f"{v:.9g}" for v in row) for row in matrix.levels)
         Path(args.matrix_out).write_bytes((header + "\n" + rows + "\n").encode())
-    # With a map's matrix the check compares its pairs (horizon_report).
-    # Otherwise it runs the summary's pass on the reduced window's exit
-    # minima, then on the same array lowered over the rest of the window, for
-    # maps and flows alike.
-    if check and not pairs:
-        summary, half = level_summary(system, loaded.tau, args.threads, horizon_check=True)
-    elif args.matrix_out:
         summary = summarize(matrix, zero_tol=loaded.tau)
+    elif check:
+        summary, half = level_summary(system, loaded.tau, args.threads, horizon_check=True)
     else:
         summary = level_summary(system, loaded.tau, args.threads)
     _write(args.out, export_levels_csv(summary, _coords(loaded)))
@@ -136,7 +133,7 @@ def cmd_analyze(args) -> int:
         at = f"t_max={reduced_horizon(system) * system.dt:.6g}"
     if not check:
         _diag(f"horizon check skipped: n={system.n} > {HORIZON_CHECK_CAP}")
-    elif pairs:
+    elif args.matrix_out:
         rep = horizon_report(system, matrix, args.threads)
         state = "stable" if rep.stable else f"{rep.changed_pairs} pairs changed (max {rep.max_change:.3g})"
         _diag(f"horizon check at {at}: {state}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -149,37 +149,51 @@ class CostSpace:
         return self.coords.shape[0]
 
 
+def euclid(diffs: Iterable[np.ndarray], d: int) -> np.ndarray:
+    """Euclidean lengths from the ``d`` per-axis coordinate differences ``diffs``.
+
+    The one cost kernel: every Euclidean cost of the engine comes from here.
+    In 1-D the length is |x|, a new array.  Otherwise it is the square root
+    of the squares summed as np.sum sums them (one at a time in axis order
+    below 8 axes), and the differences are the caller's to give up: each is
+    squared in place, and the first is overwritten with the lengths and
+    returned.  Below 8 axes a generator of differences holds one at a time.
+    """
+    diffs = iter(diffs)
+    out = next(diffs)
+    if d == 1:
+        return np.abs(out)
+    if d >= 8:
+        sq = np.stack([out, *diffs], axis=-1)
+        sq *= sq
+        np.sum(sq, axis=-1, out=out)
+    else:
+        out *= out
+        for x in diffs:
+            x *= x
+            out += x
+    return np.sqrt(out, out=out)
+
+
 def points_to_samples_cost(points: np.ndarray, space: CostSpace) -> np.ndarray:
     """Euclidean cost from raw coordinate rows to every sample, shape (len(points), n).
 
-    Only valid for coordinate-backed spaces.  The same arithmetic (absolute
-    difference in 1-D, sqrt of squared sums otherwise) is used everywhere so
-    that independently computed levels agree bit for bit.
+    Only valid for coordinate-backed spaces.  Beyond 1-D it works on
+    ``COST_ROW_CHUNK`` rows at a time, which bounds the temporaries.
     """
     if space.coords is None:
         raise ValueError("space has no coordinates")
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if space.coords.shape[1] == 1:
-        return np.abs(pts[:, 0][:, None] - space.coords[:, 0][None, :])
-    coords = space.coords
+    coords, d = space.coords, space.coords.shape[1]
+    if d == 1:
+        return euclid([pts[:, :1] - coords[:, 0]], 1)
+    axes = coords.T.copy()      # each axis contiguous: faster differences
     out = np.empty((len(pts), space.n))
-    for i in range(0, len(pts), COST_ROW_CHUNK):   # bounds the temporaries
+    for i in range(0, len(pts), COST_ROW_CHUNK):
         p, o = pts[i:i + COST_ROW_CHUNK], out[i:i + COST_ROW_CHUNK]
-        if coords.shape[1] < 8:
-            # np.sum adds fewer than 8 terms one at a time, in axis order: the
-            # same floats, from (rows, n) temporaries, about 4x faster in 2-D
-            np.subtract(p[:, None, 0], coords[None, :, 0], out=o)
-            o *= o
-            for k in range(1, coords.shape[1]):
-                t = p[:, None, k] - coords[None, :, k]
-                t *= t
-                o += t
-            np.sqrt(o, out=o)
-        else:
-            diff = p[:, None, :] - coords[None, :, :]
-            o[...] = np.sqrt(np.sum(diff * diff, axis=2))
+        euclid((np.subtract(p[:, k, None], axes[k], out=None if k else o) for k in range(d)), d)
     return out
 
 

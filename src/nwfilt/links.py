@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from . import core
-from .core import (CostSpace, MapSystem, ResourceLimitError, check_store_size,
+from .core import (CostSpace, MapSystem, ResourceLimitError, check_store_size, euclid,
                    points_to_samples_cost)
 
 MATRIX_SIZE_CAP = 6000
@@ -125,10 +125,8 @@ class EntryCostRows:
 
 
 def _exit_costs(system: MapSystem, zs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """cost(f^n(zs[p]), ys[p]) at every step n of the exit window, shape (len(zs), K).
-
-    The floats of the exit-min kernels: a cost-table entry, or ``_euclid``.
-    """
+    """cost(f^n(zs[p]), ys[p]) at every step n of the exit window, shape (len(zs), K):
+    a cost-table entry, or ``core.euclid``."""
     k0 = system.first_step - 1
     coords = system.space.coords
     if system.is_tabulated:
@@ -138,22 +136,7 @@ def _exit_costs(system: MapSystem, zs: np.ndarray, ys: np.ndarray) -> np.ndarray
         pts = (coords[:, k][orbit] for k in range(coords.shape[1]))
     else:
         pts = (system.orbit_coords[zs, k0:, k] for k in range(coords.shape[1]))
-    return _euclid([x - coords[ys, k, None] for k, x in enumerate(pts)])
-
-
-def _euclid(diffs: list[np.ndarray]) -> np.ndarray:
-    """Lengths from per-axis coordinate differences, in ``points_to_samples_cost``'s
-    floats: |x| in 1-D, the square root of the squares summed in axis order
-    otherwise (as np.sum adds fewer than 8 terms; from 8 on, np.sum itself)."""
-    if len(diffs) == 1:
-        return np.abs(diffs[0])
-    if len(diffs) >= 8:
-        diff = np.stack(diffs, axis=-1)
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-    out = diffs[0] * diffs[0]
-    for x in diffs[1:]:
-        out += x * x
-    return np.sqrt(out, out=out)
+    return euclid((x - coords[ys, k, None] for k, x in enumerate(pts)), coords.shape[1])
 
 
 def nearest_exit_costs(cand: np.ndarray, targets: np.ndarray,
@@ -169,7 +152,8 @@ def nearest_exit_costs(cand: np.ndarray, targets: np.ndarray,
     """
     if out is None:
         out = np.full((cand.shape[0], len(targets)), np.inf)
-    if cand.shape[2] == 1:
+    d = cand.shape[2]
+    if d == 1:
         cand, t = cand[:, :, 0], targets[:, 0]
         for z in range(cand.shape[0]):
             s = np.sort(cand[z])
@@ -183,8 +167,8 @@ def nearest_exit_costs(cand: np.ndarray, targets: np.ndarray,
                            out=out[z])
     else:
         for z in range(cand.shape[0]):
-            diff = cand[z][:, None, :] - targets[None, :, :]
-            np.minimum(out[z], np.sqrt(np.sum(diff * diff, axis=2)).min(axis=0), out=out[z])
+            cost = euclid((cand[z, :, k, None] - targets[:, k] for k in range(d)), d)
+            np.minimum(out[z], cost.min(axis=0), out=out[z])
     return out
 
 
@@ -203,19 +187,11 @@ def exit_min_matrix(system: MapSystem, cols: np.ndarray) -> np.ndarray:
 
 
 def _cost_table(system: MapSystem, cols: np.ndarray) -> np.ndarray:
-    """C[p, j] = cost(p, cols[j]), row-major (n, len(cols)), so a gather reads contiguous rows.
-
-    With coordinates it is the transposed entry-cost block, because the
-    Euclidean cost is bitwise symmetric; it is filled one chunk of columns
-    at a time, so that no (len(cols), n) block is held beside it.
-    """
-    if system.space.matrix is not None:
-        return system.space.matrix[:, cols]
-    table = np.empty((system.n, len(cols)))
-    for a in range(0, len(cols), core.COST_ROW_CHUNK):
-        table[:, a:a + core.COST_ROW_CHUNK] = entry_cost_rows(
-            system, cols[a:a + core.COST_ROW_CHUNK]).T
-    return table
+    """C[p, j] = cost(p, cols[j]), row-major (n, len(cols)), so a gather reads contiguous rows."""
+    space = system.space
+    if space.matrix is not None:
+        return space.matrix[:, cols]
+    return points_to_samples_cost(space.coords, CostSpace(coords=space.coords[cols]))
 
 
 def _gather(orbit: np.ndarray, table: np.ndarray, out: np.ndarray) -> None:
@@ -373,9 +349,9 @@ def exit_min_view(M) -> ExitMinArray | ThinnedExitMin:
 def thinned_exit_min(system: MapSystem, cols: np.ndarray, horizon_check: bool = False):
     """Yield a ``ThinnedExitMin`` to the targets ``cols`` for each window: with
     ``horizon_check`` first the steps up to ``reduced_horizon``, then the whole
-    exit window.  Each window's store is sorted on its own; its minima are
-    those of ``exit_min_bands`` bit for bit, as both take the least of the same
-    exit costs and keep a NaN."""
+    exit window.  Each window's store is sorted on its own, and its minima are
+    the least of the window's exit costs, NaN where one is (the 1-D sampled
+    branch of ``exit_min_bands`` lowers its bands with these stores)."""
     k0, t = system.first_step - 1, system.space.coords[cols, 0]
     for k1 in [reduced_horizon(system)] * horizon_check + [system.horizon]:
         yield ThinnedExitMin(*_sorted_store(system.orbit_coords[:, k0:k1, 0], t), t)
@@ -398,10 +374,11 @@ def exit_min_bands(system: MapSystem, cols: np.ndarray, width: int,
     builds its table once for both windows; a wider band builds one
     ``BAND_COLS`` chunk at a time, per window, so no table wider than
     ``BAND_COLS`` is held beside M, or while the caller works on M.  A 1-D
-    sampled window shorter than ``width`` is sorted once, padded (n x (K + 2)
-    floats, the size of its orbit store), and each band runs
-    ``nearest_sorted_costs`` on it, with no Python loop over samples;
-    otherwise each band runs ``nearest_exit_costs``.
+    sampled window shorter than ``width`` takes the thinned stores of
+    ``thinned_exit_min`` (at most the size of the orbit store), and each band
+    runs ``nearest_sorted_costs`` on them, with no Python loop over samples:
+    the whole window's store lowers the reduced window's minima to the whole
+    window's.  Otherwise each band runs ``nearest_exit_costs``.
     """
     steps = [system.first_step - 1, system.horizon]
     if horizon_check:
@@ -410,8 +387,7 @@ def exit_min_bands(system: MapSystem, cols: np.ndarray, width: int,
     coords = system.space.coords
     width = max(1, width)
     sort = sorted_window(system, width)
-    stores = [_sorted_store(system.orbit_coords[:, k0:k1, 0], coords[cols, 0])
-              if sort and k0 < k1 else None for k0, k1 in windows]
+    stores = list(thinned_exit_min(system, cols, horizon_check)) if sort else None
     m_buf = np.empty(system.n * min(width, len(cols)))    # every band's M
     for a in range(0, max(1, len(cols)), width):
         band = slice(a, a + width)
@@ -429,9 +405,8 @@ def exit_min_bands(system: MapSystem, cols: np.ndarray, width: int,
                             _cost_table(system, tg[b:b + BAND_COLS]) if table is None else table,
                             M[:, b:b + BAND_COLS])
             elif sort:
-                sp, nan = stores[i]
-                nearest_sorted_costs(sp, coords[tg, 0], M)
-                M[nan] = np.nan
+                nearest_sorted_costs(stores[i].store, coords[tg, 0], M)
+                M[stores[i].nan] = np.nan
             else:
                 nearest_exit_costs(system.orbit_coords[:, k0:k1], coords[tg], M)
             yield i, band, M
@@ -455,10 +430,10 @@ def pre_gate(system: MapSystem, cols: np.ndarray, tau: float,
     P is read off D's own floats one ``CELL_ROWS`` band of targets at a time:
     the band's rows of the cost matrix when the space has one, else
     ``points_to_samples_cost`` to the samples within tau of the band's
-    bounding box.  That distance, in ``_euclid``'s float operations, is at
-    most every D[j, z] of the band, since each operation is monotone.  The
-    prefilter cuts the pre-gate on f2 at h = 0.01 (1001 samples) from 11 to
-    1.5 ms, and on the 30x30 tail from 8.5 to 1.9 ms.
+    bounding box.  That distance, from the same kernel (``core.euclid``), is
+    at most every D[j, z] of the band, since each of its operations is
+    monotone.  On the 30x30 tail this prefilter cut the pre-gate from 8.5 to
+    1.9 ms.
     """
     space = system.space
     marked = np.zeros(len(cols), dtype=bool)
@@ -470,8 +445,8 @@ def pre_gate(system: MapSystem, cols: np.ndarray, tau: float,
         else:
             t = space.coords[band]
             lo, hi = t.min(axis=0), t.max(axis=0)
-            near = np.flatnonzero(_euclid([np.maximum(np.maximum(lo[k] - c, c - hi[k]), 0.0)
-                                           for k, c in enumerate(space.coords.T)]) <= tau)
+            near = np.flatnonzero(euclid((np.maximum(np.maximum(lo[k] - c, c - hi[k]), 0.0)
+                                          for k, c in enumerate(space.coords.T)), len(lo)) <= tau)
             js, zs = np.nonzero(points_to_samples_cost(t, CostSpace(coords=space.coords[near]))
                                 <= tau)
             zs = near[zs]
@@ -484,13 +459,6 @@ def pre_gate(system: MapSystem, cols: np.ndarray, tau: float,
         if most is not None and np.count_nonzero(marked) > most:
             return None
     return marked
-
-
-def _pair_level_table(system: MapSystem, x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
-    """All candidate levels for the pair (x, y): (entry costs (n,), levels (n, K))."""
-    entry = entry_cost_rows(system, np.array([x]))[0]
-    exits = _exit_costs(system, np.arange(system.n), np.full(system.n, y))
-    return entry, np.maximum(entry[:, None], exits)
 
 
 # ---------------------------------------------------------------------------
@@ -508,27 +476,30 @@ def link_level(system: MapSystem, x: int, y: int) -> tuple[float, LinkWitness]:
     """
     if system.n == 0:
         raise ValueError("empty sample set")
-    entry, lev = _pair_level_table(system, x, y)
+    entry = entry_cost_rows(system, np.array([x]))[0]
+    exits = _exit_costs(system, np.arange(system.n), np.full(system.n, y))
+    lev = np.maximum(entry[:, None], exits)     # every candidate level, (n, K)
     best = lev.min()
     zs, ks = np.nonzero(np.isnan(lev) if np.isnan(best) else lev == best)
     order = np.lexsort((zs, ks))
-    z, k = int(zs[order[0]]), int(ks[order[0]]) + system.first_step - 1
-    wit = LinkWitness(start_index=z, steps=k + 1,
-                      start_cost=float(entry[z]), end_cost=_exit_cost(system, z, k, y))
+    z, k = int(zs[order[0]]), int(ks[order[0]])
+    wit = LinkWitness(start_index=z, steps=k + system.first_step,
+                      start_cost=float(entry[z]), end_cost=float(exits[z, k]))
     return float(best), wit
 
 
-def _exit_cost(system: MapSystem, z: int, k: int, y: int) -> float:
-    if system.is_tabulated and system.space.matrix is not None:
-        return float(system.space.matrix[system.orbit_table[z, k], y])
-    pt = system.orbit_points(z)[k]
-    return float(points_to_samples_cost(pt[None, :], system.space)[0, y])
-
-
 def recompute_witness_level(system: MapSystem, x: int, y: int, witness: LinkWitness) -> float:
-    """Re-derive max(entry cost, exit cost) for a stored witness from the orbit store."""
-    entry = entry_cost_rows(system, np.array([x]))[0, witness.start_index]
-    exit_ = _exit_cost(system, witness.start_index, witness.steps - 1, y)
+    """Re-derive max(entry cost, exit cost) for a stored witness from the orbit store.
+
+    Raises ValueError unless the witness enters at a sample and leaves within
+    the exit window."""
+    z, steps = witness.start_index, witness.steps
+    if not (0 <= z < system.n and system.first_step <= steps <= system.horizon):
+        raise ValueError(f"witness (start_index={z}, steps={steps}) is outside the "
+                         f"{system.n} samples or the exit window "
+                         f"[{system.first_step}, {system.horizon}]")
+    entry = entry_cost_rows(system, np.array([x]))[0, z]
+    exit_ = _exit_costs(system, np.array([z]), np.array([y]))[0, steps - system.first_step]
     return float(np.maximum(entry, exit_))   # NaN-propagating, unlike max()
 
 

@@ -171,19 +171,24 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_horizon_line_matches_horizon_stability(self, tmp_path, capsys, threads):
-        """analyze --matrix-out checks the pairs of the matrix it writes; the
-        stderr line is the one horizon_stability's report gives."""
-        spec = write_spec(tmp_path, "tail.json", {
-            "kind": "map", "source": {"builtin": "counterexample_tail",
-                                      "params": {"n_max": 10, "m_max": 8}}})
-        system = load_system(spec).system
-        rep = horizon_stability(system)
-        assert not rep.stable
-        want = (f"horizon check at n_max={rep.reduced_horizon}: {rep.changed_pairs} "
-                f"pairs changed (max {rep.max_change:.3g})\n")
-        assert main(["analyze", spec, "--threads", threads,
-                     "--matrix-out", str(tmp_path / "m.csv")]) == 0
-        assert want in capsys.readouterr().err
+        """analyze --matrix-out checks the pairs of the matrix it writes, on a map
+        and on a semiflow; the stderr line is the one horizon_stability's report
+        gives, and stdout is the one without --matrix-out."""
+        for name, payload in (("tail", tail_spec(10, 8)), ("flow_att", flow_spec("flow_att"))):
+            spec = write_spec(tmp_path, f"{name}.json", payload)
+            system = load_system(spec).system
+            rep = horizon_stability(system)
+            assert not rep.stable
+            at = (f"n_max={rep.reduced_horizon}" if name == "tail"
+                  else f"t_max={rep.reduced_horizon * system.dt:.6g}")
+            want = (f"horizon check at {at}: {rep.changed_pairs} "
+                    f"pairs changed (max {rep.max_change:.3g})\n")
+            assert main(["analyze", spec, "--threads", threads]) == 0
+            gated = capsys.readouterr().out
+            assert main(["analyze", spec, "--threads", threads,
+                         "--matrix-out", str(tmp_path / "m.csv")]) == 0
+            captured = capsys.readouterr()
+            assert captured.err.endswith(want) and captured.out == gated
 
     def test_golden_tail_matrix_and_pair_line(self, tmp_path, capsys):
         """analyze --matrix-out on the 30x30 tail, at one and three threads: the

@@ -243,6 +243,21 @@ class TestWitnesses:
             assert wit.level == lvl
             assert 1 <= wit.steps <= sys.horizon
 
+    @pytest.mark.parametrize("first_step", [1, 3])
+    def test_witness_outside_the_samples_or_the_window_rejected(self, first_step):
+        """A witness must enter at a sample and leave within the exit window;
+        an index or step count that numpy would wrap is rejected, not read."""
+        f2 = replace(build_grid_system("f2", box=[[-1, 1]], spacing=0.1, horizon=4),
+                     first_step=first_step)
+        lvl, wit = link_level(f2, 3, 5)
+        assert recompute_witness_level(f2, 3, 5, wit) == lvl
+        for z, steps in ((0, first_step), (f2.n - 1, 4)):
+            assert recompute_witness_level(f2, 3, 5, replace(wit, start_index=z, steps=steps)) >= lvl
+        for z, steps in ((wit.start_index, 0), (wit.start_index, -1), (wit.start_index, 5),
+                         (wit.start_index, first_step - 1), (-1, wit.steps), (f2.n, wit.steps)):
+            with pytest.raises(ValueError, match="witness"):
+                recompute_witness_level(f2, 3, 5, replace(wit, start_index=z, steps=steps))
+
     def test_tie_break_prefers_small_step_then_small_index(self, three_cycle):
         lvl, wit = link_level(three_cycle, 0, 0)
         assert lvl == 0.0
