@@ -175,12 +175,6 @@ def builtin(name: str) -> BuiltinSystem:
         raise KeyError(f"unknown builtin {name!r}; known: {', '.join(builtin_names())}") from None
 
 
-def _flow_field(b: BuiltinSystem):
-    def fld(state: np.ndarray) -> np.ndarray:
-        return b.evaluator(state)
-    return fld
-
-
 def build_grid_system(name: str, box=None, spacing: float | None = None,
                       horizon: int | None = None,
                       max_samples: int = DEFAULT_MAX_SAMPLES) -> MapSystem:
@@ -211,7 +205,7 @@ def build_builtin_flow(name: str, box=None, spacing: float | None = None,
     dt = b.default_dt if dt is None else dt
     t_min = b.default_t_min if t_min is None else t_min
     t_max = b.default_t_max if t_max is None else t_max
-    return build_flow_system(_flow_field(b), box, spacing, dt, t_min, t_max,
+    return build_flow_system(b.evaluator, box, spacing, dt, t_min, t_max,
                              name=name, max_samples=max_samples)
 
 

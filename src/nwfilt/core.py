@@ -258,7 +258,6 @@ class MapSystem:
 
     space: CostSpace
     horizon: int
-    step_table: np.ndarray | None = None         # (n,) int
     orbit_coords: np.ndarray | None = None       # (n, horizon, d) float
     orbit_table: np.ndarray | None = None        # (n, horizon) int
     spacing: float | None = None
@@ -277,25 +276,11 @@ class MapSystem:
     def is_tabulated(self) -> bool:
         return self.orbit_table is not None
 
-    def orbit_points(self, z: int) -> np.ndarray:
-        """Raw coordinates of the stored orbit segment of sample z, shape (horizon, d)."""
-        if self.is_tabulated:
-            if self.space.coords is None:
-                raise ValueError("tabulated system without coordinates")
-            return self.space.coords[self.orbit_table[z]]
-        return self.orbit_coords[z]
-
     def index_of(self, coord) -> int:
         """Index of the sample nearest to the given coordinates."""
         costs = points_to_samples_cost(np.atleast_2d(np.asarray(coord, dtype=float)),
-                                       _coord_space(self.space))
+                                       self.space)
         return int(np.argmin(costs[0]))
-
-
-def _coord_space(space: CostSpace) -> CostSpace:
-    if space.coords is None:
-        raise ValueError("system has no coordinate embedding")
-    return CostSpace(coords=space.coords) if space.matrix is not None else space
 
 
 def build_sampled_system(step_fn: Callable[[np.ndarray], np.ndarray],
@@ -345,5 +330,5 @@ def build_tabulated_system(step_table: Sequence[int], horizon: int | None = None
     for k in range(horizon):
         orbit[:, k] = cur
         cur = table[cur]
-    return MapSystem(space=space, horizon=horizon, step_table=table,
+    return MapSystem(space=space, horizon=horizon,
                      orbit_table=orbit, name=name)

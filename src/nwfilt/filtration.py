@@ -203,9 +203,10 @@ def level_summary(system: MapSystem, zero_tol: float, threads: int = 1,
     window, and otherwise each band (or the whole M) takes the minima over
     the reduced window first and is then lowered in place over the rest of
     the exit window (``links.exit_min_bands``).  Maps and flows take the same
-    paths, and the check holds no more (n, m) arrays than the pass without it.
+    paths, and the check holds no more (n, m) arrays than the pass without it,
+    so both are priced alike (``links.priced_targets``).
     """
-    tg, perm = links.priced_targets(system, None, horizon_check)
+    tg, perm = links.priced_targets(system)
     cols = tg[perm]
     m = len(cols)
     D = links.EntryCostRows(system, cols)
@@ -255,47 +256,33 @@ def _pos_member(summary: LevelSummary, magnitude: float) -> np.ndarray:
     return summary.lam <= max(magnitude, summary.zero_tol)
 
 
-def _neg_member(summary: LevelSummary, magnitude: float,
-                boundary: str = "strict") -> np.ndarray:
-    """Negative-branch membership mask.
-
-    The finite reduction yields a strict magnitude comparison at the boundary
-    value beta(x); some closed-form continuum descriptions read as closed
-    there.  Both conventions are exposed; they differ only on the set of
-    magnitudes exactly equal to some beta(x).
-    """
-    if boundary not in ("strict", "closed"):
-        raise ValueError('boundary must be "strict" or "closed"')
+def _neg_member(summary: LevelSummary, magnitude: float) -> np.ndarray:
+    """Negative-branch membership mask: gated and m < beta(x), the finite
+    reduction's strict comparison (beta = inf is robust at every magnitude)."""
     gated = summary.lam <= summary.zero_tol
     with np.errstate(invalid="ignore"):
-        if boundary == "strict":
-            robust = (magnitude < summary.beta) | (summary.beta == np.inf)
-        else:
-            robust = magnitude <= summary.beta
+        robust = (magnitude < summary.beta) | (summary.beta == np.inf)
     return gated & np.where(np.isnan(summary.beta), False, robust)
 
 
-def omega_membership(summary: LevelSummary, x: int, level: ExtendedLevel,
-                     neg_boundary: str = "strict") -> bool:
+def omega_membership(summary: LevelSummary, x: int, level: ExtendedLevel) -> bool:
     """Whether sample x belongs to the recurrence slice at the given level."""
     r = summary.row_of(x)
     if level.branch is Branch.POS:
         return bool(_pos_member(summary, level.magnitude)[r])
-    return bool(_neg_member(summary, level.magnitude, neg_boundary)[r])
+    return bool(_neg_member(summary, level.magnitude)[r])
 
 
-def omega_slice(summary: LevelSummary, level: ExtendedLevel,
-                neg_boundary: str = "strict") -> np.ndarray:
+def omega_slice(summary: LevelSummary, level: ExtendedLevel) -> np.ndarray:
     """Sample indices of the slice at the given level, ascending."""
     if level.branch is Branch.POS:
         mask = _pos_member(summary, level.magnitude)
     else:
-        mask = _neg_member(summary, level.magnitude, neg_boundary)
+        mask = _neg_member(summary, level.magnitude)
     return summary.targets[mask]
 
 
-def diagram(summary: LevelSummary, levels: Sequence[ExtendedLevel],
-            neg_boundary: str = "strict") -> list[DiagramSlice]:
+def diagram(summary: LevelSummary, levels: Sequence[ExtendedLevel]) -> list[DiagramSlice]:
     """Slices at the requested levels; the level list must be sorted ascending.
 
     The returned slices are nested (each is contained in every later one).
@@ -303,7 +290,7 @@ def diagram(summary: LevelSummary, levels: Sequence[ExtendedLevel],
     for a, b in zip(levels, levels[1:]):
         if not a <= b:
             raise ValueError("diagram levels must be sorted ascending")
-    slices = [DiagramSlice(level=lv, members=omega_slice(summary, lv, neg_boundary))
+    slices = [DiagramSlice(level=lv, members=omega_slice(summary, lv))
               for lv in levels]
     prev: set[int] = set()
     for s in slices:

@@ -466,6 +466,12 @@ def pre_gate(system: MapSystem, cols: np.ndarray, tau: float,
 # ---------------------------------------------------------------------------
 
 
+def _check_pair(system: MapSystem, x: int, y: int) -> None:
+    """Raise ValueError unless x and y are samples: numpy would wrap a negative index."""
+    if not (0 <= x < system.n and 0 <= y < system.n):
+        raise ValueError(f"samples ({x}, {y}) are outside the {system.n} samples")
+
+
 def link_level(system: MapSystem, x: int, y: int) -> tuple[float, LinkWitness]:
     """Minimal link level from sample x to sample y with an achieving witness.
 
@@ -474,8 +480,7 @@ def link_level(system: MapSystem, x: int, y: int) -> tuple[float, LinkWitness]:
     in ``level_matrix``; the witness is then the first NaN candidate in the
     same order.
     """
-    if system.n == 0:
-        raise ValueError("empty sample set")
+    _check_pair(system, x, y)
     entry = entry_cost_rows(system, np.array([x]))[0]
     exits = _exit_costs(system, np.arange(system.n), np.full(system.n, y))
     lev = np.maximum(entry[:, None], exits)     # every candidate level, (n, K)
@@ -493,6 +498,7 @@ def recompute_witness_level(system: MapSystem, x: int, y: int, witness: LinkWitn
 
     Raises ValueError unless the witness enters at a sample and leaves within
     the exit window."""
+    _check_pair(system, x, y)
     z, steps = witness.start_index, witness.steps
     if not (0 <= z < system.n and system.first_step <= steps <= system.horizon):
         raise ValueError(f"witness (start_index={z}, steps={steps}) is outside the "
@@ -634,23 +640,23 @@ def bottleneck_product(D: np.ndarray, M, threads: int = 1) -> np.ndarray:
     return out
 
 
-def priced_targets(system: MapSystem, targets: Iterable[int] | None = None,
-                   horizon_check: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def priced_targets(system: MapSystem,
+                   targets: Iterable[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The validated targets and their ``cell_order``, once the level arrays are priced.
 
     The price against ``core.MAX_MATRIX_BYTES`` counts the entry costs D and
-    the exit minima, (m, n) each, a second set of exit minima with
-    ``horizon_check``, and the (m, m) levels: 8 * m * ((3 or 2) * n + m) bytes.
-    The price is conservative: D is computed by row band, and
-    ``level_summary`` holds one band of exit minima (none on the line, all of
-    them when one band covers every target) and no (m, m) levels.
+    the exit minima, (m, n) each, and the (m, m) levels: 8 * m * (2n + m)
+    bytes, for every pass.  The price is conservative: D is computed by row
+    band, and ``level_summary`` holds one band of exit minima (none on the
+    line, all of them when one band covers every target), lowered in place
+    for the horizon check, and no (m, m) levels.
     """
     n = system.n
     if n == 0:
         raise ValueError("empty sample set")
     tg = target_indices(n, targets)
     m = len(tg)
-    check_store_size(8 * m * ((3 if horizon_check else 2) * n + m),
+    check_store_size(8 * m * (2 * n + m),
                      f"the level matrix of {m} targets over {n} samples",
                      "use fewer targets or a coarser grid", cap=core.MAX_MATRIX_BYTES)
     return tg, cell_order(system.space.coords, tg)

@@ -111,12 +111,12 @@ class TestTailSystem:
         def idx(x, y):
             return sys.index_of([x, y])
 
-        assert sys.step_table[idx(0.5, 1.0)] == idx(1.0, 0.0)
-        assert sys.step_table[idx(0.5, 1 / 3)] == idx(1 / 3, 0.5)
+        assert sys.orbit_table[idx(0.5, 1.0), 0] == idx(1.0, 0.0)
+        assert sys.orbit_table[idx(0.5, 1 / 3), 0] == idx(1 / 3, 0.5)
         # truncation boundary: last tail point fixed, deep columns shift in y only
         last = idx(1 / 6, 0.0)
-        assert sys.step_table[last] == last
-        assert sys.step_table[idx(1 / 6, 1 / 3)] == idx(1 / 6, 0.5)
+        assert sys.orbit_table[last, 0] == last
+        assert sys.orbit_table[idx(1 / 6, 1 / 3), 0] == idx(1 / 6, 0.5)
         np.testing.assert_allclose(c[idx(1.0, 0.0)], [1.0, 0.0])
 
     def test_size(self):

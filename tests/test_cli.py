@@ -262,12 +262,11 @@ class TestAnalyze:
             assert capsys.readouterr().out == gated
             assert shapes.count((n, n)) == 1
 
-    @pytest.mark.parametrize("cmd, arrays", [("analyze", 3), ("detect", 2), ("flow", 3)])
-    def test_level_arrays_priced_before_allocation(self, tmp_path, capsys, monkeypatch,
-                                                   cmd, arrays):
-        """D, M, the second M that prices analyze's horizon check (on maps and
-        flows alike), and the levels, priced against core.MAX_MATRIX_BYTES
-        before any of them is allocated."""
+    @pytest.mark.parametrize("cmd", ["analyze", "detect", "flow"])
+    def test_level_arrays_priced_before_allocation(self, tmp_path, capsys, monkeypatch, cmd):
+        """D, M and the levels, priced against core.MAX_MATRIX_BYTES before any
+        of them is allocated; analyze's horizon check (on maps and flows alike)
+        lowers M in place and is priced the same."""
         def no_product(*args):
             raise AssertionError("allocated past the gate")
 
@@ -281,7 +280,7 @@ class TestAnalyze:
             spec = f2_spec(tmp_path)
             argv = [cmd, spec]
         n = load_system(spec).system.n
-        price = 8 * n * (arrays * n + n)
+        price = 8 * n * (2 * n + n)
         monkeypatch.setattr(core, "MAX_MATRIX_BYTES", price - 1)
         monkeypatch.setattr(links, "cell_order", no_product)
         assert main(argv) == 3
@@ -752,7 +751,7 @@ class TestVerify:
         path.write_text(json.dumps(spec))
         loaded = build_from_spec(json.loads(path.read_text()))
         np.testing.assert_array_equal(loaded.system.space.matrix, inst.cost)
-        np.testing.assert_array_equal(loaded.system.step_table, inst.table)
+        np.testing.assert_array_equal(loaded.system.orbit_table[:, 0], inst.table)
         assert loaded.tau == 0.0
 
 

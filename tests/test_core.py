@@ -165,7 +165,7 @@ class TestPointsToSamplesCost:
         matrix = summed_squares(table.space.coords, table.space.coords)
         matrix[np.isnan(matrix)] = np.inf
         np.fill_diagonal(matrix, 0.0)
-        costs = build_tabulated_system(table.step_table, horizon=3, cost_matrix=matrix)
+        costs = build_tabulated_system(table.orbit_table[:, 0], horizon=3, cost_matrix=matrix)
         assert same_bits(links._cost_table(costs, cols), costs.space.matrix[:, cols])
 
     @pytest.mark.parametrize("d", range(2, 11))

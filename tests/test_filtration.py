@@ -96,11 +96,7 @@ class TestMembership:
         x = sys.index_of(-1.0)
         b = float(summ.beta[x])
         assert not omega_membership(summ, x, neg_level(b))
-        assert omega_membership(summ, x, neg_level(b), neg_boundary="closed")
         assert omega_membership(summ, x, neg_level(b - 0.01))
-        assert not omega_membership(summ, x, neg_level(b + 0.01), neg_boundary="closed")
-        with pytest.raises(ValueError):
-            omega_membership(summ, x, neg_level(b), neg_boundary="open")
 
     def test_membership_monotone_along_levels(self, f_rep):
         sys, _, summ = f_rep

@@ -38,7 +38,8 @@ def brute_pair_level(system, x, y):
             entry = system.space.matrix[x, z]
         else:
             entry = euclid(coords[x], coords[z])
-        pts = None if use_matrix else system.orbit_points(z)
+        if not use_matrix:
+            pts = coords[system.orbit_table[z]] if system.is_tabulated else system.orbit_coords[z]
         for k in range(system.first_step - 1, system.horizon):
             if use_matrix:
                 exit_ = system.space.matrix[system.orbit_table[z, k], y]
@@ -245,8 +246,9 @@ class TestWitnesses:
 
     @pytest.mark.parametrize("first_step", [1, 3])
     def test_witness_outside_the_samples_or_the_window_rejected(self, first_step):
-        """A witness must enter at a sample and leave within the exit window;
-        an index or step count that numpy would wrap is rejected, not read."""
+        """A witness must enter at a sample and leave within the exit window,
+        and link from a sample to a sample; an index or step count that numpy
+        would wrap is rejected, not read."""
         f2 = replace(build_grid_system("f2", box=[[-1, 1]], spacing=0.1, horizon=4),
                      first_step=first_step)
         lvl, wit = link_level(f2, 3, 5)
@@ -257,6 +259,11 @@ class TestWitnesses:
                          (wit.start_index, first_step - 1), (-1, wit.steps), (f2.n, wit.steps)):
             with pytest.raises(ValueError, match="witness"):
                 recompute_witness_level(f2, 3, 5, replace(wit, start_index=z, steps=steps))
+        for x, y in ((-1, 5), (3, -2), (f2.n, 5), (3, f2.n)):
+            with pytest.raises(ValueError, match="are outside"):
+                link_level(f2, x, y)
+            with pytest.raises(ValueError, match="are outside"):
+                recompute_witness_level(f2, x, y, wit)
 
     def test_tie_break_prefers_small_step_then_small_index(self, three_cycle):
         lvl, wit = link_level(three_cycle, 0, 0)
@@ -954,7 +961,8 @@ class TestHorizonMovedColumns:
 
     def test_level_arrays_priced_before_allocation(self, monkeypatch, f2_small):
         """D and M are (m, n) and the levels (m, m): their bytes are priced
-        against core.MAX_MATRIX_BYTES."""
+        against core.MAX_MATRIX_BYTES.  The horizon check lowers its exit
+        minima in place, so it is priced like the pass without it."""
         tg = np.arange(0, f2_small.n, 8)
         m, n = len(tg), f2_small.n
         price = 8 * m * (2 * n + m)
@@ -963,6 +971,11 @@ class TestHorizonMovedColumns:
             level_matrix(f2_small, tg)
         monkeypatch.setattr(core, "MAX_MATRIX_BYTES", price)
         level_matrix(f2_small, tg)
+        monkeypatch.setattr(core, "MAX_MATRIX_BYTES", 8 * n * (2 * n + n) - 1)
+        with pytest.raises(ResourceLimitError, match="coarser grid"):
+            level_summary(f2_small, 0.02, horizon_check=True)
+        monkeypatch.setattr(core, "MAX_MATRIX_BYTES", 8 * n * (2 * n + n))
+        level_summary(f2_small, 0.02, horizon_check=True)
 
 
 def window_systems(first_step):
