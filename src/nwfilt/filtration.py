@@ -122,44 +122,73 @@ def diagonal_levels(D, M, start: int = 0) -> np.ndarray:
 
 def strip_robustness(D: links.EntryCostRows, M, gated: np.ndarray,
                      threads: int = 1) -> np.ndarray:
-    """beta of the gated targets from the rows L[G, :] and the block L[Gᶜ, G].
+    """beta of the gated targets from the rows L[G, :] and what is left of the block L[Gᶜ, G].
 
     beta(x) reads only row x and column x of L = min_z max(D, M), for x in
     the gate G.  The rows L[G, :] are the product of the gated targets' entry
-    costs with M; they hold the G part of every gated column too.  So only
-    the block L[Gᶜ, G] is computed beside them, by ``_strip_beta``.  Every
-    entry is the product's own float, so beta is that of the whole product
-    bit for bit.  M is an array or an exit-minimum view
-    (``links.exit_min_view``).  Returns beta over all targets, NaN outside
-    the gate.
+    costs with M; they hold the G part of every gated column too, and their
+    witnesses over Gᶜ (``links.bottleneck_product``) settle most of the block
+    L[Gᶜ, G] in ``_strip_beta``.  Every entry it reads is the product's own
+    float, so beta is that of the whole product bit for bit.  M is an array
+    or an exit-minimum view (``links.exit_min_view``).  Returns beta over all
+    targets, NaN outside the gate.
     """
     g = np.flatnonzero(gated)
     if len(g) == 0:
         return np.full(len(gated), np.nan)
-    rows = links.bottleneck_product(links.EntryCostRows(D.system, D.cols[g]), M, threads)
-    return _strip_beta(D, rows, M, g, gated, threads)
+    rest = np.flatnonzero(~gated)
+    witness = np.empty((len(g), len(rest)), dtype=np.int32) if len(rest) else None
+    rows = links.bottleneck_product(links.EntryCostRows(D.system, D.cols[g]), M, threads,
+                                    witness, rest)
+    return _strip_beta(D, rows, witness, M, g, gated, threads)
 
 
-def _strip_beta(D: links.EntryCostRows, rows: np.ndarray, M, at: np.ndarray,
-                gated: np.ndarray, threads: int) -> np.ndarray:
-    """beta from the gated rows L[G, :] and the gated exit-min columns M[:, at].
+def _settled(D: links.EntryCostRows, M, x: np.ndarray, ys: np.ndarray, z: np.ndarray,
+             level: np.ndarray) -> np.ndarray:
+    """Mask (len(x), len(ys)) of the block entries L[ys[q], k] that the witnesses
+    settle, k the target of M's column x[p] (an array or a view).
+
+    z[p, q] is a witness of level[p, q] = L[k, ys[q]].  An entry L[y, k] is
+    an excursion of k only if it exceeds L[k, y], and the witness bounds it:
+    L[y, k] <= max(D[y, z], M[z, k]), from the engine's own floats
+    (``links.entry_costs`` and the view's ``pick``).  So the entry is
+    settled, as no excursion, where that bound is at most L[k, y] or where
+    L[k, y] is NaN; a NaN bound settles nothing.
+    """
+    with np.errstate(invalid="ignore"):                  # inf - inf in 2-D costs
+        bound = links.entry_costs(D.system, D.cols[ys], z)
+        np.maximum(bound, M.pick(z, x[:, None]), out=bound)
+    return (bound <= level) | np.isnan(level)
+
+
+def _strip_beta(D: links.EntryCostRows, rows: np.ndarray, witness: np.ndarray | None, M,
+                at: np.ndarray, gated: np.ndarray, threads: int) -> np.ndarray:
+    """beta from the gated rows L[G, :], their witnesses over Gᶜ and the gated
+    exit-min columns M[:, at].
 
     ``at[k]`` is the column of M (an array or a view) that belongs to the
-    k-th gated target.  The block L[Gᶜ, G] is computed ``STRIP_COLS`` gated
-    columns at a time, and each chunk's returns L[:, c] are reduced at once:
-    |G| m + |Gᶜ| |G| entries in all, and no (m, m) or (m, |G|) array.
+    k-th gated target.  Per ``STRIP_COLS`` gated columns c, the witnesses
+    settle most entries of the block L[Gᶜ, c] (``_settled``), and only the
+    rows y with an entry left go through the block product.  Each chunk's
+    returns L[:, c] are then reduced at once; an entry that is settled and
+    not computed returns -inf, which is no excursion.  No (m, m) or (m, |G|)
+    float array is held.  ``witness`` (|G|, |Gᶜ|) may be None only when Gᶜ
+    is empty.
     """
     M = links.exit_min_view(M)
     beta = np.full(len(gated), np.nan)
     g, rest = np.flatnonzero(gated), np.flatnonzero(~gated)
-    D_rest = links.EntryCostRows(D.system, D.cols[rest])
     for a in range(0, len(g), STRIP_COLS):
-        c = g[a:a + STRIP_COLS]
-        returns = np.empty((len(c), len(gated)))       # L[:, c].T
-        returns[:, g] = rows[:, c].T
+        c, x = g[a:a + STRIP_COLS], at[a:a + STRIP_COLS]
+        y = rest
         if len(rest):
-            returns[:, rest] = links.bottleneck_product(D_rest, M.columns(at[a:a + STRIP_COLS]),
-                                                        threads).T
+            y = rest[~_settled(D, M, x, rest, witness[a:a + STRIP_COLS],
+                               rows[a:a + STRIP_COLS, rest]).all(axis=0)]
+        returns = np.full((len(c), len(gated)), -np.inf)       # L[:, c].T where needed
+        returns[:, g] = rows[:, c].T
+        if len(y):
+            returns[:, y] = links.bottleneck_product(links.EntryCostRows(D.system, D.cols[y]),
+                                                     M.columns(x), threads).T
         beta[c] = _excursions(rows[a:a + STRIP_COLS], returns)
     return beta
 
@@ -172,7 +201,8 @@ def level_summary(system: MapSystem, zero_tol: float, threads: int = 1,
 
     lam is the diagonal of the product (``diagonal_levels``).  beta is defined
     only on the gate G = {lam <= zero_tol} and reads only the rows L[G, :]
-    and the block L[Gᶜ, G] (``strip_robustness``).  The arrays are priced,
+    and the block L[Gᶜ, G], most of which the rows' witnesses settle without
+    computing it (``strip_robustness``).  The arrays are priced,
     ordered and read as in ``level_matrix``: all samples are targets, in cell
     order, D is an ``EntryCostRows`` view and the results are put back in
     sample order.
@@ -188,15 +218,17 @@ def level_summary(system: MapSystem, zero_tol: float, threads: int = 1,
     exit-window length.  Before any
     of them, ``links.pre_gate`` marks a superset G⁺ of the gate from each
     target's tau-neighbourhood: |P| K exit costs for the pairs P = {D <= tau}.
-    Each band then gives its lam, the rows L[G⁺, band] and its gated columns
-    M[:, band ∩ G⁺].  After the pass G ⊆ G⁺ is checked, the rows of G are
-    kept, and the block L[Gᶜ, G] comes from the collected columns.  So the
-    pass holds one (n, band) array of exit minima, the rows (|G⁺|, m) and the
+    Each band then gives its lam, the rows L[G⁺, band] with their witnesses
+    and its gated columns M[:, band ∩ G⁺].  After the pass G ⊆ G⁺ is
+    checked, the rows of G and their witnesses over Gᶜ are kept, and what
+    the witnesses leave of the block L[Gᶜ, G] comes from the collected
+    columns (``_strip_beta``).  So the pass holds one (n, band) array of
+    exit minima, the rows (|G⁺|, m) with as many int32 witnesses and the
     columns (n, |G⁺|), never the (n, m) M.  When one band covers every target
     the pass holds the whole M, with no pre-gate and no copy of its columns:
-    the gate comes from lam.  So it does too when the rows and columns of G⁺,
-    for both horizons with the check, would hold as many floats as M; the
-    pre-gate stops as soon as it has marked that many.
+    the gate comes from lam.  So it does too when the rows, witnesses and
+    columns of G⁺, for both horizons with the check, would hold as many
+    bytes as M; the pre-gate stops as soon as it has marked that many.
 
     With ``horizon_check``, returns the pair (summary, summary at the reduced
     horizon, ``links.reduced_horizon``): thinned stores are built for each
@@ -218,9 +250,9 @@ def level_summary(system: MapSystem, zero_tol: float, threads: int = 1,
 
     out = []
     windows = range(1 + horizon_check)
-    # the banded pass holds rows and columns of G⁺ for every window at once;
-    # past ``most`` targets they would hold as many floats as M
-    most = (system.n * m - 1) // (len(windows) * (m + system.n))
+    # the banded pass holds rows, int32 witnesses and columns of G⁺ for every
+    # window at once; past ``most`` targets they would hold as many bytes as M
+    most = (2 * system.n * m - 1) // (len(windows) * (3 * m + 2 * system.n))
     plus = None
     if links.sorted_window(system, min(width, m)):
         views = links.thinned_exit_min(system, cols, horizon_check)
@@ -236,19 +268,22 @@ def level_summary(system: MapSystem, zero_tol: float, threads: int = 1,
     D_plus = links.EntryCostRows(system, cols[gp])
     lams = [np.empty(m) for _ in windows]
     rows = [np.empty((len(gp), m)) for _ in windows]
+    witnesses = [np.empty((len(gp), m), dtype=np.int32) for _ in windows]
     gathered = [np.empty((system.n, len(gp))) for _ in windows]
     for i, band, M in links.exit_min_bands(system, cols, width, horizon_check):
         k = np.arange(*np.searchsorted(gp, [band.start, band.stop]))   # G⁺ in the band
         lams[i][band] = diagonal_levels(D, M, band.start)
         if len(gp):
-            rows[i][:, band] = links.bottleneck_product(D_plus, M, threads)
+            rows[i][:, band] = links.bottleneck_product(D_plus, M, threads,
+                                                        witnesses[i][:, band])
         gathered[i][:, k] = M[:, gp[k] - band.start]
-    for lam, row, col in zip(lams, rows, gathered):
+    for lam, row, wit, col in zip(lams, rows, witnesses, gathered):
         gated = lam <= zero_tol
         if (gated & ~plus).any():
             raise AssertionError("a gated sample is missing from the pre-gate; this is a bug")
         sel = np.flatnonzero(gated[gp])
-        out.append(summary(lam, _strip_beta(D, row[sel], col, sel, gated, threads)))
+        wit = wit[np.ix_(sel, np.flatnonzero(~gated))]
+        out.append(summary(lam, _strip_beta(D, row[sel], wit, col, sel, gated, threads)))
     return (out[1], out[0]) if horizon_check else out[0]
 
 

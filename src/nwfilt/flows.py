@@ -44,7 +44,10 @@ def integrate(field_fn: Callable[[np.ndarray], np.ndarray], z0,
     times {0, dt, ..., t_max}.  A batch is stored sample-major, so the result
     is a time-major view of an (n, steps + 1, ...) array.  States are computed
     ``RK4_BLOCK`` steps at a time into a small buffer that is tested for
-    finiteness and then copied into the store.
+    finiteness and then copied into the store.  Each stage sum goes into a
+    preallocated buffer (``out=``) in the textbook order of operations, so
+    the floats are those of ``y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)``; each
+    stage has its own buffer, as a field may return its input.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -59,15 +62,20 @@ def integrate(field_fn: Callable[[np.ndarray], np.ndarray], z0,
         out = np.swapaxes(np.empty((y.shape[0], steps + 1) + y.shape[1:]), 0, 1)
     out[0] = y
     block = np.empty((min(RK4_BLOCK, steps),) + y.shape)
+    s2, s3, s4, acc, part, nxt = (np.empty_like(y) for _ in range(6))
+    half = 0.5 * dt
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i0 in range(0, steps, RK4_BLOCK):     # non-finite states raise below
             rows = block[:min(RK4_BLOCK, steps - i0)]
             for j in range(len(rows)):
                 k1 = field_fn(y)
-                k2 = field_fn(y + 0.5 * dt * k1)
-                k3 = field_fn(y + 0.5 * dt * k2)
-                k4 = field_fn(y + dt * k3)
-                y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k2 = field_fn(np.add(y, np.multiply(half, k1, out=s2), out=s2))
+                k3 = field_fn(np.add(y, np.multiply(half, k2, out=s3), out=s3))
+                k4 = field_fn(np.add(y, np.multiply(dt, k3, out=s4), out=s4))
+                np.add(k1, np.multiply(2.0, k2, out=acc), out=acc)
+                np.add(acc, np.multiply(2.0, k3, out=part), out=acc)
+                np.add(acc, k4, out=acc)
+                y, nxt = np.add(y, np.multiply(dt / 6.0, acc, out=acc), out=nxt), y
                 rows[j] = y
             # (step, component...); a scalar state has the one component [0]
             finite = np.isfinite(rows).reshape(len(rows), *(rows.shape[1:] or (1,)))

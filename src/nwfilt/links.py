@@ -105,6 +105,16 @@ def entry_cost_rows(system: MapSystem, rows: np.ndarray) -> np.ndarray:
     return points_to_samples_cost(system.space.coords[rows], system.space)
 
 
+def entry_costs(system: MapSystem, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """cost(xs, zs) entry by entry, broadcast: the floats of ``entry_cost_rows``,
+    a cost-table entry or ``core.euclid`` of the same differences."""
+    space = system.space
+    if space.matrix is not None:
+        return space.matrix[xs, zs]
+    c = space.coords
+    return euclid((c[xs, k] - c[zs, k] for k in range(c.shape[1])), c.shape[1])
+
+
 @dataclass(frozen=True)
 class EntryCostRows:
     """The entry costs ``entry_cost_rows(system, cols)`` as a row view.
@@ -208,17 +218,32 @@ def _gather(orbit: np.ndarray, table: np.ndarray, out: np.ndarray) -> None:
         out[a:a + rows] = block
 
 
+def _counts(points: np.ndarray, qs: np.ndarray, side: str, base) -> np.ndarray:
+    """c[p, k] = base[p] + how many of points[p] lie below qs[k] (``side`` "right")
+    or at most qs[k] (``side`` "left"); ``qs`` is sorted.
+
+    A point lies below qs[k] exactly when fewer than k + 1 of the sorted qs
+    are at most it, so one searchsorted of the points into ``qs``, a bincount
+    per row and a cumsum give each row's ``np.searchsorted(points[p], qs)``
+    for every query at once.
+    """
+    r, w = len(points), len(qs)
+    seg = np.searchsorted(qs, points, side=side)
+    seg += (w + 1) * np.arange(r)[:, None]
+    c = np.bincount(seg.ravel(), minlength=r * (w + 1)).reshape(r, w + 1)[:, :w]
+    c[:, 0] += base
+    return np.cumsum(c, axis=1, out=c)
+
+
 def nearest_sorted_costs(sp: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out[z, j] lowered to the least |t[j] - x| over the sorted 1-D points sp[z, 1:-1].
 
     Each row of ``sp`` (n, K + 2) is sorted and padded with its own first and
-    last point, as ``nearest_exit_costs`` pads it.  A point x lies below
-    target j exactly when fewer than j + 1 of the sorted targets are at most
-    x, so per block of rows one searchsorted of the points into the sorted
-    targets, a bincount per row and a cumsum give each row's
-    ``np.searchsorted(sp[z, 1:-1], t)`` for every target at once.  The two
-    neighbours then give ``nearest_exit_costs``'s floats.  Rows holding a NaN
-    are left to the caller.
+    last point, as ``nearest_exit_costs`` pads it.  Per block of rows,
+    ``_counts`` gives each row's ``np.searchsorted(sp[z, 1:-1], t)`` for
+    every target at once.  The two neighbours then give
+    ``nearest_exit_costs``'s floats.  Rows holding a NaN are left to the
+    caller.
     """
     order = np.argsort(t, kind="stable")
     ts = t[order]
@@ -227,12 +252,7 @@ def nearest_sorted_costs(sp: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.n
     rows = max(1, BLOCK_CELLS // (width + w))
     for a in range(0, len(sp), rows):
         s = sp[a:a + rows]
-        r = len(s)
-        seg = np.searchsorted(ts, s[:, 1:-1], side="right")
-        seg += (w + 1) * np.arange(r)[:, None]
-        pos = np.bincount(seg.ravel(), minlength=r * (w + 1)).reshape(r, w + 1)[:, :w]
-        pos[:, 0] += width * np.arange(r)            # flat positions in s
-        np.cumsum(pos, axis=1, out=pos)
+        pos = _counts(s[:, 1:-1], ts, "right", width * np.arange(len(s)))   # flat positions in s
         lo, hi = s.take(pos), s.take(pos + 1)
         with np.errstate(invalid="ignore"):      # an infinite point at an infinite target
             np.subtract(ts, lo, out=lo)
@@ -301,6 +321,10 @@ class ExitMinArray:
         """M[zs, a:a + CELL_COLS], exactly."""
         return self.M[zs, a:a + CELL_COLS]
 
+    def pick(self, zs: np.ndarray, js: np.ndarray) -> np.ndarray:
+        """M[zs, js], entry by entry (broadcast)."""
+        return self.M[zs, js]
+
 
 @dataclass(frozen=True)
 class ThinnedExitMin:
@@ -322,20 +346,54 @@ class ThinnedExitMin:
 
     def cell_bounds(self, starts: np.ndarray) -> np.ndarray:
         """Each exit minimum is |t - x| for a kept point x, and for t in [lo, hi]
-        the rounded gap max(lo - x, x - hi, 0) is at most that float.  An
-        infinite point at an infinite end of the interval gives NaN, as its
-        exit minimum is, and so does a NaN row's last point."""
+        the rounded gap max(lo - x, x - hi, 0) is at most that float.  The gap
+        falls as x nears the interval, so a row's least is that of its last
+        point below lo, its first at or above lo or its first above hi
+        (``_counts``; the padded ends stand in where there is none).  An
+        infinite point at an infinite end gives NaN, as its exit minimum is,
+        and it is one of those three; a NaN row is NaN throughout.  A single
+        cell takes the gap of every point, which costs less than the search."""
         lo, hi = np.minimum.reduceat(self.t, starts), np.maximum.reduceat(self.t, starts)
+        lo_order, hi_order = np.argsort(lo, kind="stable"), np.argsort(hi, kind="stable")
         out = np.empty((len(self.store), len(starts)))
-        rows = max(1, BLOCK_CELLS // (self.store.shape[1] * len(starts)))
+        width = self.store.shape[1]
+        rows = max(1, BLOCK_CELLS // (width + 2 * len(starts)))
+
+        def count(points, q, order, side, base):        # _counts in the cells' order
+            c = _counts(points, q[order], side, base)
+            return c if np.array_equal(order, np.arange(len(q))) else c[:, np.argsort(order)]
+
         with np.errstate(invalid="ignore"):
             for a in range(0, len(out), rows):
-                x = self.store[a:a + rows, :, None]
-                out[a:a + rows] = np.maximum(np.maximum(lo - x, x - hi), 0.0).min(axis=1)
+                s = self.store[a:a + rows]
+                if len(starts) == 1:
+                    np.maximum(np.maximum(lo - s, s - hi), 0.0).min(axis=1, out=out[a:a + rows, 0])
+                    continue
+                base = width * np.arange(len(s))                     # flat positions in s
+                below = count(s[:, 1:-1], lo, lo_order, "right", base)
+                upto = count(s[:, 1:-1], hi, hi_order, "left", base)
+                least = out[a:a + rows]
+                least.fill(np.inf)
+                for at in (below, below + 1, upto + 1):
+                    x = s.take(at)
+                    gap = np.maximum(np.subtract(lo, x), np.subtract(x, hi, out=x), out=x)
+                    np.minimum(least, np.maximum(gap, 0.0, out=gap), out=least)
+        out[self.nan] = np.nan
         return out
 
     def block(self, zs: np.ndarray, a: int) -> np.ndarray:
-        t = self.t[a:a + CELL_COLS]
+        return self._minima(zs, self.t[a:a + CELL_COLS])
+
+    def pick(self, zs: np.ndarray, js: np.ndarray) -> np.ndarray:
+        """M[zs, js] entry by entry (broadcast), from one sorted-kernel call on the
+        distinct samples of ``zs`` and the distinct targets of ``js``."""
+        seen = np.zeros(len(self.store), dtype=bool)
+        seen[zs] = True
+        rank = np.cumsum(seen) - 1
+        cols, js = np.unique(js, return_inverse=True)
+        return self._minima(np.flatnonzero(seen), self.t[cols])[rank[zs], js]
+
+    def _minima(self, zs: np.ndarray, t: np.ndarray) -> np.ndarray:
         out = nearest_sorted_costs(self.store[zs], t, np.full((len(zs), len(t)), np.inf))
         out[self.nan[zs]] = np.nan
         return out
@@ -504,7 +562,7 @@ def recompute_witness_level(system: MapSystem, x: int, y: int, witness: LinkWitn
         raise ValueError(f"witness (start_index={z}, steps={steps}) is outside the "
                          f"{system.n} samples or the exit window "
                          f"[{system.first_step}, {system.horizon}]")
-    entry = entry_cost_rows(system, np.array([x]))[0, z]
+    entry = entry_costs(system, np.array([x]), np.array([z]))[0]
     exit_ = _exit_costs(system, np.array([z]), np.array([y]))[0, steps - system.first_step]
     return float(np.maximum(entry, exit_))   # NaN-propagating, unlike max()
 
@@ -552,7 +610,8 @@ def cell_order(coords: np.ndarray | None, tg: np.ndarray) -> np.ndarray:
     return perm
 
 
-def bottleneck_product(D: np.ndarray, M, threads: int = 1) -> np.ndarray:
+def bottleneck_product(D: np.ndarray, M, threads: int = 1, witness: np.ndarray | None = None,
+                       witness_cols: np.ndarray | None = None) -> np.ndarray:
     """L[i, j] = min over z of max(D[i, z], M[z, j]), the (min, max) matrix product.
 
     D is read only as ``D.shape`` and ``D[rows]``, once per band of rows, so it
@@ -581,6 +640,15 @@ def bottleneck_product(D: np.ndarray, M, threads: int = 1) -> np.ndarray:
     computed whole by one thread, so the output does not depend on the thread
     count.  Targets that are close in space share cells and tighten the
     bounds; see ``cell_order``.
+
+    ``witness`` (m, len(witness_cols)), integers, gets an entry sample w of
+    each level in the columns ``witness_cols`` (all by default):
+    max(D[i, w], M[w, j]) == L[i, j] bit for bit.  A cell with such a column
+    lays its batches out (rows, columns, samples); the argmin over samples
+    gives the sample and its candidate, which is the batch minimum (no cost
+    is -0.0, and argmin takes the first NaN).  It replaces a witness only
+    where it lowers the entry or first makes it NaN.  Where every candidate
+    is inf, every sample attains the level and the witness stays 0.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -591,6 +659,9 @@ def bottleneck_product(D: np.ndarray, M, threads: int = 1) -> np.ndarray:
     starts = np.arange(0, cols, CELL_COLS)
     exit_bound = M.cell_bounds(starts)                                # (n, cells)
     bands = [slice(i, min(i + CELL_ROWS, m)) for i in range(0, m, CELL_ROWS)]
+    if witness is not None:
+        slot = np.full(cols, -1)            # column -> its witness column, or -1
+        slot[np.arange(cols) if witness_cols is None else witness_cols] = np.arange(witness.shape[1])
 
     def fill(rows: slice) -> None:
         DT = np.ascontiguousarray(D[rows].T)                         # (n, rows)
@@ -599,6 +670,11 @@ def bottleneck_product(D: np.ndarray, M, threads: int = 1) -> np.ndarray:
         for b, a in enumerate(starts):
             acc = out[rows, a:a + CELL_COLS]
             acc.fill(np.inf)
+            wit = None
+            if witness is not None:
+                at = slot[a:a + CELL_COLS]
+                if (at >= 0).any():
+                    wit = np.zeros(acc.shape, dtype=witness.dtype)
             bound = np.maximum(entry, exit_bound[:, b])
             bound[np.isnan(bound)] = -np.inf
             order = np.argsort(bound, kind="stable")
@@ -624,9 +700,21 @@ def bottleneck_product(D: np.ndarray, M, threads: int = 1) -> np.ndarray:
                     keep = (np.maximum(Mz, entry[zs, None])
                             < np.fmax.reduce(acc, axis=0, initial=-np.inf)).any(axis=1)
                     zs, Mz = zs[keep], Mz[keep]
-                cand = np.maximum(DT[zs, :, None], Mz[:, None, :],
-                                  out=buf[:len(zs), :, :Mz.shape[1]])
-                np.minimum(acc, cand.min(axis=0, initial=np.inf), out=acc)
+                if wit is None:
+                    cand = np.maximum(DT[zs, :, None], Mz[:, None, :],
+                                      out=buf[:len(zs), :, :Mz.shape[1]])
+                    np.minimum(acc, cand.min(axis=0, initial=np.inf), out=acc)
+                elif len(zs):
+                    shape = acc.shape + (len(zs),)
+                    cand = np.maximum(DT[zs].T[:, None, :], Mz.T[None],
+                                      out=buf.reshape(-1)[:acc.size * len(zs)].reshape(shape))
+                    k = cand.argmin(axis=2)
+                    low = np.take_along_axis(cand, k[..., None], axis=2)[..., 0]
+                    new = (low < acc) | (np.isnan(low) & ~np.isnan(acc))
+                    np.copyto(wit, zs[k], where=new)
+                    np.minimum(acc, low, out=acc)
+            if wit is not None:
+                witness[rows, at[at >= 0]] = wit[:, at >= 0]
 
     workers = min(threads, len(bands))
     if workers <= 1:

@@ -168,6 +168,24 @@ class TestPointsToSamplesCost:
         costs = build_tabulated_system(table.orbit_table[:, 0], horizon=3, cost_matrix=matrix)
         assert same_bits(links._cost_table(costs, cols), costs.space.matrix[:, cols])
 
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_entry_costs(self, d):
+        # pair by pair, broadcast as the strip's certificate reads them
+        rng = np.random.default_rng(d)
+        _, table = self.systems(d)
+        coords = table.space.coords
+        matrix = summed_squares(coords, coords)
+        matrix[np.isnan(matrix)] = np.inf
+        np.fill_diagonal(matrix, 0.0)
+        costs = build_tabulated_system(table.orbit_table[:, 0], horizon=3, cost_matrix=matrix)
+        xs, zs = rng.integers(0, table.n, 60), rng.integers(0, table.n, (5, 60))
+        for system in (table, costs):
+            rows = links.entry_cost_rows(system, xs)
+            want = rows[np.arange(60), zs]
+            assert same_bits(links.entry_costs(system, xs, zs), want)
+        ref = summed_squares(coords[xs], coords)[np.arange(60), zs]
+        assert same_bits(links.entry_costs(table, xs, zs), ref)
+
     @pytest.mark.parametrize("d", range(2, 11))
     def test_nearest_exit_costs(self, d):
         coords, pts = self.coords_and_points(d)

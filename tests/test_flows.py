@@ -5,7 +5,7 @@ import pytest
 
 import nwfilt.flows as flows
 from nwfilt.builtins import build_builtin_flow, builtin, builtin_names
-from nwfilt.core import neg_level, pos_level
+from nwfilt.core import grid_points, neg_level, pos_level
 from nwfilt.filtration import omega_slice, summarize
 from nwfilt.flows import (RK4_BLOCK, IntegrationError, build_flow_system, flow_level_matrix,
                           flow_link_level, integrate)
@@ -90,6 +90,13 @@ class TestBlockedStore:
         want = per_step_integrate(FIELDS[field], Z0[z0], steps * 0.05, 0.05)
         assert got.shape == want.shape == (steps + 1,) + np.shape(Z0[z0])
         assert np.array_equal(bits(got), bits(want))
+
+    def test_bit_identical_at_the_diagram_benchmark_scale(self):
+        """flow_att on 1,201 grid samples over 2,000 steps, as the diagram
+        benchmark integrates it."""
+        pts = grid_points([[-3.0, 3.0]], 0.005)
+        got = integrate(FIELDS["flow_att"], pts, 20.0, 0.01)
+        assert np.array_equal(bits(got), bits(per_step_integrate(FIELDS["flow_att"], pts, 20.0, 0.01)))
 
     def test_batch_is_a_view_of_a_sample_major_store(self):
         traj = integrate(FIELDS["flow_att"], Z0["batch_2d"], 3.0, 0.01)

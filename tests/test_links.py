@@ -109,12 +109,38 @@ SMALL_CELLS = [(1, 1, 1, 1), (3, 5, 2, 3), (16, 12, 8, 5)]
 ONE_ENTRY_MAX = 20_000
 
 
+def assert_witnesses_attain(D, M, L, witness, cols=None):
+    """Each recorded witness w of L[i, j] (j = cols[p] for witness[i, p]) gives
+    max(D[i, w], M[w, j]) == L[i, j], compared as int64 views; D and M dense."""
+    cols = np.arange(L.shape[1]) if cols is None else np.asarray(cols)
+    got = np.maximum(D[np.arange(len(D))[:, None], witness], M[witness, cols])
+    assert np.array_equal(got.view(np.int64), L[:, cols].view(np.int64))
+
+
+def witnessed_product(D, M, threads, cols=None):
+    """The product with int32 witnesses of the columns ``cols`` (all by default)."""
+    width = M.shape[1] if cols is None else len(cols)
+    witness = np.empty((D.shape[0], width), dtype=np.int32)
+    return bottleneck_product(D, M, threads, witness, cols), witness
+
+
 def assert_product_matches(monkeypatch, D, M, want=None, view=None):
     """The product equals the full scan bit for bit: with small cells, and with
-    the default cells at threads 1, 2 and 3.  The product reads M through
-    ``view`` when one is given."""
+    the default cells at threads 1, 2 and 3, with and without witnesses, and
+    each witness attains its level.  The product reads M through ``view``
+    when one is given.  Small cells record witnesses up to ONE_ENTRY_MAX
+    outputs."""
     want = brute_product(D, M).tobytes() if want is None else want
+    dense_D, dense_M = D, M
     M = M if view is None else view
+
+    def check(threads, witnesses=True):
+        assert bottleneck_product(D, M, threads).tobytes() == want
+        if witnesses:
+            L, witness = witnessed_product(D, M, threads)
+            assert L.tobytes() == want
+            assert_witnesses_attain(dense_D, dense_M, L, witness)
+
     for rows, cols, batch, window in SMALL_CELLS:
         if rows * cols == 1 and D.shape[0] * M.shape[1] > ONE_ENTRY_MAX:
             continue
@@ -123,9 +149,9 @@ def assert_product_matches(monkeypatch, D, M, want=None, view=None):
             patch.setattr(links, "CELL_COLS", cols)
             patch.setattr(links, "BATCH", batch)
             patch.setattr(links, "WINDOW", window)
-            assert bottleneck_product(D, M, 1).tobytes() == want
+            check(1, D.shape[0] * M.shape[1] <= ONE_ENTRY_MAX)
     for threads in (1, 2, 3):
-        assert bottleneck_product(D, M, threads).tobytes() == want
+        check(threads)
 
 
 @pytest.fixture(scope="module")
@@ -758,6 +784,17 @@ class TestLevelSummaryMemory:
         peak = traced_peak(lambda: level_summary(system, np.inf, horizon_check=True))
         assert peak < 2.77 * 8 * system.n ** 2
 
+    def test_half_gated_map(self):
+        # f_rep: 505 of 1001 samples pass the gate, and the witnesses settle
+        # 123,516 of the 250,480 block entries, so the block product still runs.
+        # Before witnesses the peak read 0.814; the (|G|, |Gᶜ|) int32
+        # witnesses add 0.125
+        system = build_grid_system("f_rep", box=[[-5, 5]], spacing=0.01, horizon=64)
+        zero_tol = 2 * system.spacing
+        peak = traced_peak(lambda: level_summary(system, zero_tol, horizon_check=True))
+        assert np.count_nonzero(level_summary(system, zero_tol).lam <= zero_tol) == 505
+        assert peak < 0.94 * 8 * system.n ** 2
+
     def test_flow(self):
         # 605 of 1201 samples pass the gate; with an (m, m) product the peak is 2.18
         system = build_builtin_flow("flow_att", box=[[-3, 3]], spacing=0.005, dt=0.01,
@@ -1081,10 +1118,10 @@ def assert_same_levels(got, want):
 
 class TestLevelSummary:
     """filtration.level_summary reads lam off the product's diagonal and beta off
-    the gated rows and the complement block, one column chunk at a time, from
-    the whole exit minima or from bands of them after the pre-gate: the same
-    floats as summarize(level_matrix(...)), at the full and the half horizon,
-    whatever the size of the gate."""
+    the gated rows and what their witnesses leave of the complement block,
+    one column chunk at a time, from the whole exit minima or from bands of
+    them after the pre-gate: the same floats as summarize(level_matrix(...)),
+    at the full and the half horizon, whatever the size of the gate."""
 
     @pytest.mark.parametrize("case", sorted(GATED_CASES))
     def test_equals_the_whole_matrix_summary(self, case):
@@ -1221,14 +1258,30 @@ def dense(view):
                           axis=1)
 
 
+def every_point_bounds(view, starts):
+    """The cell bounds as the least gap max(lo - x, x - hi, 0) over every kept
+    point x of a row, one (rows, points, cells) array."""
+    lo, hi = np.minimum.reduceat(view.t, starts), np.maximum.reduceat(view.t, starts)
+    x = view.store[:, :, None]
+    with np.errstate(invalid="ignore"):
+        return np.maximum(np.maximum(lo - x, x - hi), 0.0).min(axis=1)
+
+
 def assert_view_is_the_kernel(view, points, t):
     """The view's blocks are the sorted kernel's floats, as int64 views, and each
     cell bound is at most every exit minimum of its cell, NaN exactly where
-    one of them is."""
+    one of them is.  The bounds are the least gap over every kept point,
+    as int64 views where they are numbers (numpy's reductions pick a NaN's
+    bits by memory layout, and the product reads every NaN bound as -inf)."""
     want = sorted_kernel(points, t)
     assert np.array_equal(dense(view).view(np.int64), want.view(np.int64))
     starts = np.arange(0, len(t), links.CELL_COLS)
     bounds = view.cell_bounds(starts)
+    for cells in (starts, np.arange(len(t)), np.arange(0, len(t), 3)):
+        got, ref = view.cell_bounds(cells), every_point_bounds(view, cells)
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), ref[~nan].view(np.int64))
     for c, a in enumerate(starts):
         cell = want[:, a:a + links.CELL_COLS]
         nan = np.isnan(cell).any(axis=1)
@@ -1431,3 +1484,106 @@ class TestExitMinBands:
             want = nearest_exit_costs(cand, t[:, None])
             got = sorted_kernel(cand[:, :, 0], t)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestStripCertificate:
+    """The rows L[G, :] record a witness of each level in the columns Gᶜ
+    (bottleneck_product), and filtration._settled reads from it the bound
+    L[y, x] <= max(D[y, z], M[z, x]) of each block entry: on every gated case,
+    with the whole exit minima and with the thinned views, at 1 to 3 threads."""
+
+    @staticmethod
+    def views(system, cols):
+        """The whole exit minima, and on the line the thinned view, each with its
+        dense array."""
+        M = exit_min_matrix(system, cols)
+        out = [(M, M)]
+        if links.sorted_window(system, system.n):
+            view = next(links.thinned_exit_min(system, cols))
+            out.append((view, dense(view)))
+        return out
+
+    @pytest.mark.parametrize("case", sorted(GATED_CASES))
+    def test_witnesses_attain_their_levels(self, case):
+        """Every column or a subset in any order: the levels are the product's
+        without witnesses, and each witness gives its level bit for bit."""
+        system = GATED_CASES[case][0]()
+        tg, perm = links.priced_targets(system)
+        cols = tg[perm]
+        D = EntryCostRows(system, cols)
+        dense_D = D[np.arange(len(cols))]
+        sub = np.random.default_rng(system.n).permutation(len(cols))[:len(cols) // 2 + 1]
+        for M, dense_M in self.views(system, cols):
+            want = bottleneck_product(D, M).tobytes()
+            for threads in (1, 2, 3):
+                for at in (None, sub):
+                    L, witness = witnessed_product(D, M, threads, at)
+                    assert L.tobytes() == want
+                    assert_witnesses_attain(dense_D, dense_M, L, witness, at)
+
+    @pytest.mark.parametrize("case", sorted(GATED_CASES))
+    def test_settled_entries_are_no_excursions(self, case):
+        """_settled marks exactly the entries whose bound from the dense D and M
+        is at most L[x, y] or whose L[x, y] is NaN, and no marked entry has
+        L[y, x] > L[x, y] in the whole level matrix."""
+        build, gates = GATED_CASES[case]
+        system = build()
+        tg, perm = links.priced_targets(system)
+        cols = tg[perm]
+        D = EntryCostRows(system, cols)
+        dense_D = D[np.arange(len(cols))]
+        L = level_matrix(system).levels[np.ix_(perm, perm)]      # in cell order
+        for M, dense_M in self.views(system, cols):
+            for zero_tol in (-np.inf, *gates, np.inf):
+                gated = np.diagonal(L) <= zero_tol
+                g, rest = np.flatnonzero(gated), np.flatnonzero(~gated)
+                if len(g) == 0 or len(rest) == 0:
+                    continue
+                level, back = L[np.ix_(g, rest)], L[np.ix_(rest, g)].T
+                for threads in (1, 2, 3):
+                    rows, z = witnessed_product(EntryCostRows(system, cols[g]), M, threads, rest)
+                    assert rows.tobytes() == L[g].tobytes()
+                    settled = filtration._settled(D, links.exit_min_view(M), g, rest, z,
+                                                  rows[:, rest])
+                    with np.errstate(invalid="ignore"):
+                        bound = np.maximum(dense_D[rest, z], dense_M[z, g[:, None]])
+                    assert np.array_equal(settled, (bound <= level) | np.isnan(level))
+                    assert not (settled & (back > level)).any()
+
+    def test_nan_bound_settles_nothing(self):
+        """A point at inf: D[y, y] = |inf - inf| is NaN, so the bound of an entry
+        whose witness is y is NaN, and it settles the entry only when L[x, y]
+        is NaN itself."""
+        system = build_tabulated_system([0, 0, 0], horizon=2, coords=[[0.0], [1.0], [np.inf]])
+        cols = np.arange(3)
+        with np.errstate(invalid="ignore"):                  # the cost table's own inf - inf
+            M = links.exit_min_view(exit_min_matrix(system, cols))
+        D = EntryCostRows(system, cols)
+        x, ys = np.array([0]), np.array([2])
+        for z, level, want in [(2, 1.0, False), (2, np.inf, False), (2, np.nan, True),
+                               (0, 1.0, False), (0, np.inf, True)]:
+            got = filtration._settled(D, M, x, ys, np.array([[z]], dtype=np.int32),
+                                      np.array([[level]]))
+            assert got.tolist() == [[want]]
+
+    def test_block_product_skipped_on_attracting_builtins(self, monkeypatch):
+        """On the small flow_att and f_att the witnesses settle the whole block
+        L[Gᶜ, G]: the only product over whole rows is the one over G, with its
+        witnesses.  On f_rep, where the block is half settled, the block
+        product still runs, once per column chunk."""
+        calls = []
+        product = links.bottleneck_product
+
+        def counting(D, M, threads=1, witness=None, witness_cols=None):
+            if isinstance(D, EntryCostRows):       # lam's diagonal cells pass arrays
+                calls.append((len(D.cols), witness is not None))
+            return product(D, M, threads, witness, witness_cols)
+
+        monkeypatch.setattr(links, "bottleneck_product", counting)
+        for name, block in (("flow_att", False), ("f_att", False), ("f_rep", True)):
+            system = small_builtin(name)
+            calls.clear()
+            g = np.count_nonzero(level_summary(system, 0.06).lam <= 0.06)
+            assert 0 < g < system.n
+            assert calls[0] == (g, True)
+            assert (len(calls) > 1) == block and not any(w for _, w in calls[1:])
